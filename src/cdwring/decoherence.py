@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 from scipy.optimize import brentq
 
 from .bath import BathSpec, coth_thermal
@@ -16,7 +15,6 @@ from .specfun import QuadControl, DEFAULT_QUAD, hyp1f2
 from . import dynamics
 
 __all__ = [
-    "GammaResult",
     "noise_action",
     "gamma_early",
     "gamma_early_lowT",
@@ -26,17 +24,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GammaResult:
-    """A noise-action sample together with the method that produced it."""
-
-    t: float
-    gamma: float
-    method: str  # general-quadrature | early-quadrature | lowT-closed-form
-
-    def __post_init__(self):
-        if self.gamma < -1e-12:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
+# largest Gauss rule noise_action builds (Omega * t up to about 5250); beyond
+# it the call raises instead of running a rule too coarse for the phase
+_MAX_NODES = 4000
 
 
 def _upsilon(x):
@@ -56,9 +46,8 @@ def _upsilon(x):
     return out[()]
 
 
-def noise_action(phi_minus_f: float, phi_minus_i: float, t: float,
-                 spec: BathSpec, inertia: float,
-                 quad_ctl: QuadControl = DEFAULT_QUAD) -> float:
+def noise_action(phi_minus_f, phi_minus_i, t: float, spec: BathSpec,
+                 inertia: float, quad_ctl: QuadControl = DEFAULT_QUAD):
     """Noise action for the classical relative path with the given boundaries.
 
     The double time integral of phi-(tau) alpha_R(tau - tau') phi-(tau') is
@@ -67,38 +56,49 @@ def noise_action(phi_minus_f: float, phi_minus_i: float, t: float,
         Gamma = (mu g_s / 2 pi) int_0^Omega w^s coth(hw/2kT) |Phi(w)|^2 dw,
         Phi(w) = int_0^t phi-(u) e^{i w u} du,
 
-    with phi-(u) reconstructed from the kappa coefficients.
+    with phi-(u) = kappa_i(t-u) phi-_f + kappa_f(t-u) phi-_i.  So Gamma is the
+    quadratic form A phi-_f^2 + 2B phi-_f phi-_i + C phi-_i^2, and one
+    vector-valued quadrature gives (A, B, C) for (spec, t).  The boundary
+    values broadcast against each other; scalar input returns a float.
+    Raises EvaluationError if Omega * t needs more than 4000 Gauss nodes or
+    the quadrature misses its tolerance.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    mu = inertia / HBAR
-    b = dynamics.PathBoundary(0.0, 0.0, phi_minus_i, phi_minus_f, t)
-    if phi_minus_f == 0.0 and phi_minus_i == 0.0:
-        return 0.0
-
+    phi_f, phi_i = np.broadcast_arrays(np.asarray(phi_minus_f, dtype=float),
+                                       np.asarray(phi_minus_i, dtype=float))
+    if not (phi_f.any() or phi_i.any()):
+        return 0.0 if phi_f.ndim == 0 else np.zeros(phi_f.shape)
     # Gauss-Legendre nodes resolving up to Omega * t radians of phase
-    n_nodes = min(4000, max(96, int(0.75 * spec.Omega * t) + 64))
+    n_nodes = max(96, int(0.75 * spec.Omega * t) + 64)
+    if n_nodes > _MAX_NODES:
+        raise EvaluationError("noise action needs more Gauss nodes than allowed",
+                              t=t, omega_t=spec.Omega * t, n_nodes=n_nodes)
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     u = 0.5 * t * (x + 1.0)
-    wu = 0.5 * t * w
-    phi = np.array([dynamics.classical_paths(b, spec, ui)[1] for ui in u])
-
-    def transform_sq(omega):
-        ph = omega * u
-        c = np.dot(wu * phi, np.cos(ph))
-        s = np.dot(wu * phi, np.sin(ph))
-        return c * c + s * s
+    # Gauss weights times kappa_i(t - u; t) and kappa_f(t - u; t)
+    Gt, Gdt = dynamics.g_fun(spec, t)
+    if Gt == 0.0:
+        raise ValueError("G(t) vanishes; kappa coefficients are undefined")
+    Gv, Gdv = np.array([dynamics.g_fun(spec, t - ui) for ui in u]).T
+    weighted = 0.5 * t * w * np.array([Gdv - Gdt / Gt * Gv, Gv / Gt])
 
     def integrand(omega):
-        return omega**spec.s * coth_thermal(spec, omega) * transform_sq(omega)
+        # K = weighted @ e^{i w u}: |K_i|^2, Re(K_i conj K_f), |K_f|^2
+        c, s = weighted @ np.cos(omega * u), weighted @ np.sin(omega * u)
+        form = np.append(c[0] * c + s[0] * s, c[1] * c[1] + s[1] * s[1])
+        return omega**spec.s * coth_thermal(spec, omega) * form
 
     cycles = spec.Omega * t / (2.0 * math.pi)
     limit = max(quad_ctl.limit, int(4 * cycles) + 50)
-    val, err = quad(integrand, 0.0, spec.Omega,
-                    epsabs=0.0, epsrel=quad_ctl.rel_tol, limit=limit)
-    if not math.isfinite(val):
-        raise EvaluationError("noise action quadrature failed", t=t, value=val)
-    return mu * spec.g_s / (2.0 * math.pi) * val
+    val, err = quad_vec(integrand, 0.0, spec.Omega, epsabs=0.0,
+                        epsrel=quad_ctl.rel_tol, norm="max", limit=limit)
+    if not np.all(np.isfinite(val)) or err > 1e-6 * np.max(np.abs(val)):
+        raise EvaluationError("noise action quadrature did not converge",
+                              t=t, value=val, error=err)
+    A, B, C = inertia / HBAR * spec.g_s / (2.0 * math.pi) * val
+    gamma = A * phi_f * phi_f + 2.0 * B * phi_f * phi_i + C * phi_i * phi_i
+    return float(gamma) if gamma.ndim == 0 else gamma
 
 
 def gamma_early(spec: BathSpec, mu: float, t: float,

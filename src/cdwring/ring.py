@@ -208,10 +208,12 @@ def winding_sets(theta: float, t: float, spec: BathSpec, mu: float):
     return (_admissible(theta, G / mu, Gdot), _admissible(theta, 0.0, Gdot))
 
 
-def _gauss_segment(f, a, b, n=128):
-    x, w = np.polynomial.legendre.leggauss(n)
-    u = 0.5 * (b - a) * (x + 1.0) + a
-    return 0.5 * (b - a) * np.dot(w, f(u))
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(128)
+
+
+def _gauss_segment(f, a, b):
+    u = 0.5 * (b - a) * (_GAUSS_X + 1.0) + a
+    return 0.5 * (b - a) * np.dot(_GAUSS_W, f(u))
 
 
 def _winding_terms(state: RingState, spec: BathSpec, mu: float, inertia: float,
@@ -220,10 +222,8 @@ def _winding_terms(state: RingState, spec: BathSpec, mu: float, inertia: float,
     if Gdot == 0.0:
         raise DegenerateWindowError("Gdot(t) = 0: infinitely many admissible windings")
     Gddot = dynamics.g_ddot(spec, t)
-    out = []
+    terms = []
     for j, c in ((1, G / mu), (2, 0.0)):
-        r_plus = 0j
-        r_minus = 0j
         # union over theta in (-pi, pi) of the admissible windings
         lo = (c - _TWO_PI) / (_TWO_PI * Gdot)
         hi = (c + _TWO_PI) / (_TWO_PI * Gdot)
@@ -233,29 +233,29 @@ def _winding_terms(state: RingState, spec: BathSpec, mu: float, inertia: float,
             f_n = _TWO_PI * n * Gdot - c
             # rho(th - f_n, th) needs th - f_n in (-pi, pi) and
             # rho(th, th + f_n) needs th + f_n in (-pi, pi)
-            a_plus = max(-math.pi, -math.pi + f_n)
-            b_plus = min(math.pi, math.pi + f_n)
-            a_minus = max(-math.pi, -math.pi - f_n)
-            b_minus = min(math.pi, math.pi - f_n)
-            if b_minus <= a_minus:
-                continue
-            fdot_n = _TWO_PI * n * Gddot - (Gdot / mu if j == 1 else 0.0)
-            gam = decoherence.noise_action(_TWO_PI * n, f_n, t, spec, inertia,
-                                           quad_ctl)
-            damp = math.exp(-gam)
-            sector = (-1.0) ** n if j == 1 else 1.0
-            phase_half = np.exp(0.5j * mu * f_n * fdot_n)
-            i_plus = _gauss_segment(
-                lambda th: state.rho(th - f_n, th) * np.exp(-1j * mu * th * fdot_n),
-                a_plus, b_plus)
-            i_minus = _gauss_segment(
-                lambda th: state.rho(th, th + f_n) * np.exp(-1j * mu * th * fdot_n),
-                a_minus, b_minus)
-            r_plus += sector * damp * phase_half * i_plus
-            r_minus += sector * damp * np.conj(phase_half) * i_minus
-        out.append((r_plus, r_minus))
-    return WindingTerms(r1_plus=out[0][0], r1_minus=out[0][1],
-                        r2_plus=out[1][0], r2_minus=out[1][1])
+            windows = (max(-math.pi, -math.pi + f_n), min(math.pi, math.pi + f_n),
+                       max(-math.pi, -math.pi - f_n), min(math.pi, math.pi - f_n))
+            if windows[3] > windows[2]:
+                terms.append((j, n, f_n, windows))
+    # every winding's Gamma from one evaluation of the quadratic form
+    gams = decoherence.noise_action(np.array([_TWO_PI * n for _, n, _, _ in terms]),
+                                    np.array([f_n for _, _, f_n, _ in terms]),
+                                    t, spec, inertia, quad_ctl)
+    r = np.zeros((2, 2), dtype=complex)  # rows: sectors 1, 2; columns: +, -
+    for (j, n, f_n, (a_plus, b_plus, a_minus, b_minus)), gam in zip(terms, gams):
+        fdot_n = _TWO_PI * n * Gddot - (Gdot / mu if j == 1 else 0.0)
+        damp = math.exp(-gam)
+        sector = (-1.0) ** n if j == 1 else 1.0
+        phase_half = np.exp(0.5j * mu * f_n * fdot_n)
+        i_plus = _gauss_segment(
+            lambda th: state.rho(th - f_n, th) * np.exp(-1j * mu * th * fdot_n),
+            a_plus, b_plus)
+        i_minus = _gauss_segment(
+            lambda th: state.rho(th, th + f_n) * np.exp(-1j * mu * th * fdot_n),
+            a_minus, b_minus)
+        r[j - 1, 0] += sector * damp * phase_half * i_plus
+        r[j - 1, 1] += sector * damp * np.conj(phase_half) * i_minus
+    return WindingTerms(*r.ravel())
 
 
 def w_general(state: RingState, spec: BathSpec, mu: float, inertia: float,

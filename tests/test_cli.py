@@ -257,6 +257,12 @@ class TestConfigAndExitCodes:
         monkeypatch.setattr(dynamics, "g_fun", broken)
         assert run(["gfun", "--mu", "1e-8", "--points", "3"]) == 2
 
+    def test_noise_action_node_cap_exit_code(self, capsys):
+        # 500 P at Omega = 1/mu needs more Gauss nodes than noise_action allows
+        assert run(["wexp", "--s", "1.2", "--g", "1", "--mu", "1e-8",
+                    "--t-max-periods", "500", "--points", "2"]) == 2
+        assert "Gauss nodes" in capsys.readouterr().err
+
     def test_stdout_emission(self, capsys):
         code = run(["gfun", "--mu", "1e-8", "--points", "2"])
         assert code == 0

@@ -8,7 +8,6 @@ import pytest
 from cdwring.bath import BathSpec
 from cdwring.constants import HBAR
 from cdwring.decoherence import (
-    GammaResult,
     noise_action,
     gamma_early,
     gamma_early_lowT,
@@ -16,21 +15,12 @@ from cdwring.decoherence import (
     tau_Q,
     lattice_points,
 )
-from cdwring.errors import RootNotFoundError
+from cdwring.errors import EvaluationError, RootNotFoundError
 from cdwring import dynamics, ring
 
 MU = 1e-8
 PERIOD = 4.0 * math.pi * MU
 FIG4 = BathSpec(s=1.2, g_s=1.0, Omega=1.0 / MU, T=0.0)
-
-
-class TestGammaResult:
-    def test_accepts_non_negative(self):
-        GammaResult(t=1.0, gamma=0.0, method="general-quadrature")
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            GammaResult(t=1.0, gamma=-1e-3, method="general-quadrature")
 
 
 class TestNoiseAction:
@@ -57,6 +47,57 @@ class TestNoiseAction:
     def test_requires_positive_time(self):
         with pytest.raises(ValueError):
             noise_action(1.0, 0.0, 0.0, FIG4, HBAR * MU)
+
+    def test_array_matches_scalar(self):
+        t = 7.3 * PERIOD
+        phi_f = 2.0 * math.pi * np.array([[94.0, 95.0, 96.0], [0.0, 1.0, -3.0]])
+        phi_i = np.array([0.3, -1.2, 2.0])
+        vals = noise_action(phi_f, phi_i, t, FIG4, HBAR * MU)
+        assert vals.shape == (2, 3)
+        for k in np.ndindex(vals.shape):
+            one = noise_action(float(phi_f[k]), float(phi_i[k[1]]), t, FIG4,
+                               HBAR * MU)
+            assert type(one) is float
+            assert vals[k] == pytest.approx(one, rel=1e-13)
+
+    @pytest.mark.parametrize("spec", [
+        FIG4,
+        BathSpec(s=0.8, g_s=1.0, Omega=1.0 / MU, T=1e-3),
+    ])
+    @pytest.mark.parametrize("periods", [0.37, 7.3, 48.0])
+    def test_quadratic_form_positive_semidefinite(self, spec, periods):
+        # Gamma = A phi_f^2 + 2 B phi_f phi_i + C phi_i^2 is |Phi|^2 weighted
+        # by a non-negative spectrum, so the form is positive semidefinite
+        A, C, both = noise_action(np.array([1.0, 0.0, 1.0]),
+                                  np.array([0.0, 1.0, 1.0]),
+                                  periods * PERIOD, spec, HBAR * MU)
+        B = 0.5 * (both - A - C)
+        assert A >= 0.0
+        assert C >= 0.0
+        assert A * C - B * B >= -1e-10 * A * C
+
+    @pytest.mark.parametrize("periods, expected", [
+        # Gamma(1, 0), Gamma(0, 1), Gamma(1, 1) from the per-winding scalar
+        # quadrature that the quadratic form replaced
+        (0.37, (8.64130478427238e-08, 8.64131487380216e-08,
+                2.5233482547971167e-07)),
+        (7.3, (1.9228226984214808e-07, 1.9228307360970692e-07,
+               4.10308614949539e-07)),
+        (48.0, (2.3137671418853483e-07, 2.3137926122109655e-07,
+                4.798407173255151e-07)),
+    ])
+    def test_pinned_values(self, periods, expected):
+        vals = noise_action(np.array([1.0, 0.0, 1.0]), np.array([0.0, 1.0, 1.0]),
+                            periods * PERIOD, FIG4, HBAR * MU)
+        np.testing.assert_allclose(vals, expected, rtol=1e-10, atol=0.0)
+
+    def test_node_cap_raises(self):
+        # Omega t = 2000 pi needs 4776 Gauss nodes, beyond the 4000 allowed
+        with pytest.raises(EvaluationError) as info:
+            noise_action(2.0 * math.pi, 1.0, 500.0 * PERIOD, FIG4, HBAR * MU)
+        diag = info.value.diagnostics
+        assert diag["n_nodes"] == 4776
+        assert diag["omega_t"] == pytest.approx(2000.0 * math.pi)
 
 
 class TestGammaEarly:

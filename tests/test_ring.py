@@ -10,6 +10,7 @@ from cdwring.bath import BathSpec
 from cdwring.constants import HBAR
 from cdwring.decoherence import gamma_early, noise_action
 from cdwring.dynamics import g_fun, g_ddot
+from cdwring import decoherence
 from cdwring.ring import (
     RingState,
     WindingTerms,
@@ -278,6 +279,19 @@ class TestWGeneral:
         w_neg = w_general(RingState.wrapped_gaussian(-0.9, 0.4), FIG4, MU,
                           inertia, t)
         assert abs(w_pos - np.conj(w_neg)) <= 1e-12 * abs(w_pos)
+
+    def test_one_noise_action_call(self, monkeypatch):
+        # every winding's Gamma comes out of one evaluation of the form
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(np.size(args[0]))
+            return noise_action(*args, **kwargs)
+
+        monkeypatch.setattr(decoherence, "noise_action", counted)
+        w_general(RingState.ground(), FIG4, MU, HBAR * MU, 48.0 * PERIOD)
+        assert len(calls) == 1
+        assert calls[0] > 1
 
 
 class TestWEarly:
