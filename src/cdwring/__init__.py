@@ -8,7 +8,7 @@ discretized-bath oracle for cross validation.
 __version__ = "0.1.0"
 
 from .bath import BathSpec, omega_s, spectral_density, memory_kernel_laplace, noise_kernel
-from .dynamics import g_fun, g_ddot, kappa, classical_paths, classical_action, tau_damp
+from .dynamics import g_fun, g_ddot, kappa, classical_paths, tau_damp
 from .decoherence import (
     noise_action,
     gamma_early,
@@ -54,7 +54,6 @@ __all__ = [
     "g_ddot",
     "kappa",
     "classical_paths",
-    "classical_action",
     "tau_damp",
     "noise_action",
     "gamma_early",

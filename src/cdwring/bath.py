@@ -10,11 +10,10 @@ from scipy.integrate import quad
 
 from .constants import HBAR, K_B
 from .errors import EvaluationError
-from .specfun import QuadControl, DEFAULT_QUAD
+from .specfun import QUAD_LIMIT, QUAD_REL_TOL
 
 __all__ = [
     "BathSpec",
-    "KernelSample",
     "spectral_density",
     "omega_s",
     "memory_kernel_laplace",
@@ -49,18 +48,6 @@ class BathSpec:
             raise ValueError(f"T must be non-negative, got {self.T}")
 
 
-@dataclass(frozen=True)
-class KernelSample:
-    """A single sample of a time-domain kernel."""
-
-    t: float
-    value: float
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError(f"t must be non-negative, got {self.t}")
-
-
 def coth_thermal(spec: BathSpec, omega):
     """coth(hbar*omega / 2 kB T), with the T = 0 branch fixed to 1."""
     if spec.T == 0.0:
@@ -92,8 +79,7 @@ def memory_kernel_laplace(spec: BathSpec, z: float) -> float:
     return omega_s(spec) ** (2.0 - spec.s) * z ** (spec.s - 1.0)
 
 
-def noise_kernel(spec: BathSpec, inertia: float, t: float,
-                 quad_ctl: QuadControl = DEFAULT_QUAD) -> float:
+def noise_kernel(spec: BathSpec, inertia: float, t: float) -> float:
     """Noise kernel alpha_R(t) = (I g_s / pi) * int_0^Omega w^s coth(..) cos(wt) dw."""
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
@@ -102,9 +88,9 @@ def noise_kernel(spec: BathSpec, inertia: float, t: float,
         return w**spec.s * coth_thermal(spec, w) * math.cos(w * t)
 
     cycles = spec.Omega * t / (2.0 * math.pi)
-    limit = max(quad_ctl.limit, int(4 * cycles) + 50)
+    limit = max(QUAD_LIMIT, int(4 * cycles) + 50)
     val, err = quad(integrand, 0.0, spec.Omega,
-                    epsabs=0.0, epsrel=quad_ctl.rel_tol, limit=limit)
+                    epsabs=0.0, epsrel=QUAD_REL_TOL, limit=limit)
     if not math.isfinite(val) or (val != 0 and err > 1e-6 * abs(val)):
         raise EvaluationError("noise kernel quadrature did not converge",
                               t=t, value=val, error=err)

@@ -6,7 +6,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from .bath import BathSpec, noise_kernel, omega_s
 from .errors import EvaluationError, RootNotFoundError
 from .constants import HBAR
 from . import decoherence, dynamics, oracle, ring, specfun
-from .params import RingSpec, derived_scales, cdw_wavelength
+from .params import RingSpec, derived_scales
 
 __all__ = ["main", "RunConfig"]
 
@@ -149,8 +149,7 @@ def cmd_wexp(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_params(config: RunConfig, ring_spec: RingSpec | None = None,
-               beta: float | None = None) -> int:
+def cmd_params(config: RunConfig) -> int:
     spec = config.bath_spec()
     mu = config.mu
     doc = {
@@ -179,13 +178,6 @@ def cmd_params(config: RunConfig, ring_spec: RingSpec | None = None,
     else:
         doc["tau_Q"] = {"value": None, "reason": "no timescale found"}
         doc["N"] = {"value": None, "reason": "no timescale found"}
-    if ring_spec is not None:
-        doc["lambda"] = {"value": cdw_wavelength(ring_spec), "unit": "m"}
-        if beta is not None:
-            from .params import radius_upper_bound
-            doc["gamma_circuit"] = {"value": beta * ring_spec.R, "unit": "Hz"}
-            doc["R_upper_bound"] = {"value": radius_upper_bound(ring_spec, beta),
-                                    "unit": "m"}
     sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -222,7 +214,7 @@ def _oracle_checks(config: RunConfig):
     # carries the weight above the cutoff as a tail inertia, so what is left
     # is discretization error; at these cutoffs (the ones acceptance
     # criterion 3 uses) it stays at or below about 1.3e-4 with 4096 modes.
-    anchors = [(0.8, 185.0), (1.0, 2000.0), (1.2, 2300.0)]
+    anchors = sorted(oracle.ODE_CUTOFFS.items())
     s_clip = min(max(spec.s, anchors[0][0]), anchors[-1][0])
     for (s_lo, w_lo), (s_hi, w_hi) in zip(anchors, anchors[1:]):
         if s_lo <= s_clip <= s_hi:
@@ -292,13 +284,8 @@ def build_parser() -> _Parser:
     return p
 
 
-_FLAG_FIELDS = {
-    "g": "g", "mu": "mu", "omega_cutoff": "omega_cutoff",
-    "temperature": "temperature", "state": "state",
-    "t_max_periods": "t_max_periods", "points": "points", "n1": "n1",
-    "early": "early", "isolated": "isolated", "quick": "quick",
-    "out": "out", "format": "format",
-}
+_FLAGS = ("g", "mu", "omega_cutoff", "temperature", "state", "t_max_periods",
+          "points", "n1", "early", "isolated", "quick", "out", "format")
 
 
 def _load_config(args) -> tuple[RunConfig, list[float]]:
@@ -311,10 +298,10 @@ def _load_config(args) -> tuple[RunConfig, list[float]]:
     if unknown:
         raise UsageError(f"unknown config fields: {sorted(unknown)}")
     config = RunConfig(**data)
-    for flag, fieldname in _FLAG_FIELDS.items():
+    for flag in _FLAGS:
         val = getattr(args, flag, None)
         if val is not None:
-            setattr(config, fieldname, val)
+            setattr(config, flag, val)
     s_values = [config.s]
     if args.s is not None:
         s_values = [float(v) for v in args.s.split(",")]

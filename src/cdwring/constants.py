@@ -4,6 +4,5 @@ from scipy.constants import hbar as HBAR
 from scipy.constants import k as K_B
 from scipy.constants import mu_0 as MU_0
 from scipy.constants import e as E_CHARGE
-from scipy.constants import m_e as M_ELECTRON
 
-__all__ = ["HBAR", "K_B", "MU_0", "E_CHARGE", "M_ELECTRON"]
+__all__ = ["HBAR", "K_B", "MU_0", "E_CHARGE"]

@@ -9,9 +9,9 @@ from scipy.integrate import quad, quad_vec
 from scipy.optimize import brentq
 
 from .bath import BathSpec, coth_thermal
-from .constants import HBAR, K_B
+from .constants import HBAR
 from .errors import EvaluationError, RootNotFoundError
-from .specfun import QuadControl, DEFAULT_QUAD, hyp1f2
+from .specfun import QUAD_LIMIT, QUAD_REL_TOL, hyp1f2
 from . import dynamics
 
 __all__ = [
@@ -47,7 +47,7 @@ def _upsilon(x):
 
 
 def noise_action(phi_minus_f, phi_minus_i, t: float, spec: BathSpec,
-                 inertia: float, quad_ctl: QuadControl = DEFAULT_QUAD):
+                 inertia: float):
     """Noise action for the classical relative path with the given boundaries.
 
     The double time integral of phi-(tau) alpha_R(tau - tau') phi-(tau') is
@@ -90,9 +90,9 @@ def noise_action(phi_minus_f, phi_minus_i, t: float, spec: BathSpec,
         return omega**spec.s * coth_thermal(spec, omega) * form
 
     cycles = spec.Omega * t / (2.0 * math.pi)
-    limit = max(quad_ctl.limit, int(4 * cycles) + 50)
+    limit = max(QUAD_LIMIT, int(4 * cycles) + 50)
     val, err = quad_vec(integrand, 0.0, spec.Omega, epsabs=0.0,
-                        epsrel=quad_ctl.rel_tol, norm="max", limit=limit)
+                        epsrel=QUAD_REL_TOL, norm="max", limit=limit)
     if not np.all(np.isfinite(val)) or err > 1e-6 * np.max(np.abs(val)):
         raise EvaluationError("noise action quadrature did not converge",
                               t=t, value=val, error=err)
@@ -101,8 +101,7 @@ def noise_action(phi_minus_f, phi_minus_i, t: float, spec: BathSpec,
     return float(gamma) if gamma.ndim == 0 else gamma
 
 
-def gamma_early(spec: BathSpec, mu: float, t: float,
-                quad_ctl: QuadControl = DEFAULT_QUAD) -> float:
+def gamma_early(spec: BathSpec, mu: float, t: float) -> float:
     """Early-time noise action Gamma_{T,s}(t) by adaptive quadrature.
 
     Gamma = (g_s / 2 pi mu) int_0^Omega coth(hw/2kT) w^(s-4) *
@@ -129,7 +128,7 @@ def gamma_early(spec: BathSpec, mu: float, t: float,
         return coth_thermal(spec, w) * w ** (s - 4.0) * _upsilon(w * t)
 
     total, err = quad(inner, 0.0, w_split,
-                      epsabs=0.0, epsrel=quad_ctl.rel_tol, limit=quad_ctl.limit)
+                      epsabs=0.0, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT)
     if w_split < Om:
         def smooth(w):
             return coth_thermal(spec, w) * w ** (s - 4.0) * (2.0 + (w * t) ** 2)
@@ -141,11 +140,11 @@ def gamma_early(spec: BathSpec, mu: float, t: float,
             return coth_thermal(spec, w) * w ** (s - 4.0) * (-2.0 * w * t)
 
         v1, e1 = quad(smooth, w_split, Om,
-                      epsabs=0.0, epsrel=quad_ctl.rel_tol, limit=quad_ctl.limit)
+                      epsabs=0.0, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT)
         v2, e2 = quad(osc_cos, w_split, Om, weight="cos", wvar=t,
-                      epsabs=0.0, epsrel=quad_ctl.rel_tol, limit=quad_ctl.limit)
+                      epsabs=0.0, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT)
         v3, e3 = quad(osc_sin, w_split, Om, weight="sin", wvar=t,
-                      epsabs=0.0, epsrel=quad_ctl.rel_tol, limit=quad_ctl.limit)
+                      epsabs=0.0, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT)
         total += v1 + v2 + v3
         err += e1 + e2 + e3
     if not math.isfinite(total):

@@ -1,26 +1,22 @@
-"""Fundamental solution G(t), classical paths and action, damping timescale."""
+"""Fundamental solution G(t), its derivatives, classical paths, damping timescale."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.optimize import brentq
 
 from .bath import BathSpec, omega_s
 from .errors import RootNotFoundError
-from .specfun import SeriesControl, DEFAULT_SERIES, mittag_leffler
+from .specfun import mittag_leffler
 
 __all__ = [
-    "FundamentalSolution",
     "PathBoundary",
     "g_fun",
     "g_ddot",
-    "classical_trajectory",
     "kappa",
     "classical_paths",
-    "classical_action",
     "tau_damp",
 ]
 
@@ -40,34 +36,7 @@ class PathBoundary:
             raise ValueError(f"t must be positive, got {self.t}")
 
 
-@dataclass(frozen=True)
-class FundamentalSolution:
-    """Tabulated fundamental solution on a strictly increasing time grid."""
-
-    spec: BathSpec
-    grid: np.ndarray
-    G: np.ndarray
-    Gdot: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 1 or not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be one-dimensional and strictly increasing")
-        if grid[0] == 0.0:
-            if abs(self.G[0]) > 1e-14 or abs(self.Gdot[0] - 1.0) > 1e-14:
-                raise ValueError("fundamental solution must satisfy G(0)=0, Gdot(0)=1")
-
-    @classmethod
-    def tabulate(cls, spec: BathSpec, grid) -> "FundamentalSolution":
-        grid = np.asarray(grid, dtype=float)
-        vals = [g_fun(spec, t) for t in grid]
-        G = np.array([v[0] for v in vals])
-        Gdot = np.array([v[1] for v in vals])
-        return cls(spec=spec, grid=grid, G=G, Gdot=Gdot)
-
-
-def g_fun(spec: BathSpec, t: float,
-          ctl: SeriesControl = DEFAULT_SERIES) -> tuple[float, float]:
+def g_fun(spec: BathSpec, t: float) -> tuple[float, float]:
     """Fundamental solution G(t) and its derivative Gdot(t).
 
     G(t) = t * E_{2-s,2}[-(w_s t)^(2-s)], Gdot(t) = E_{2-s,1}[-(w_s t)^(2-s)];
@@ -82,13 +51,12 @@ def g_fun(spec: BathSpec, t: float,
         return -math.expm1(-two_gamma * t) / two_gamma, math.exp(-two_gamma * t)
     alpha = 2.0 - spec.s
     x = -((omega_s(spec) * t) ** alpha)
-    G = t * mittag_leffler(alpha, 2.0, x, ctl)
-    Gdot = mittag_leffler(alpha, 1.0, x, ctl)
+    G = t * mittag_leffler(alpha, 2.0, x)
+    Gdot = mittag_leffler(alpha, 1.0, x)
     return G, Gdot
 
 
-def g_ddot(spec: BathSpec, t: float,
-           ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def g_ddot(spec: BathSpec, t: float) -> float:
     """Second derivative of G, from the term-wise series identity.
 
     Gddot(t) = -w_s^(2-s) t^(1-s) E_{2-s,2-s}[-(w_s t)^(2-s)].  Diverges at
@@ -103,14 +71,7 @@ def g_ddot(spec: BathSpec, t: float,
     alpha = 2.0 - spec.s
     ws = omega_s(spec)
     x = -((ws * t) ** alpha)
-    return -(ws**alpha) * t ** (1.0 - spec.s) * mittag_leffler(alpha, alpha, x, ctl)
-
-
-def classical_trajectory(theta0: float, thetadot0: float,
-                         spec: BathSpec, t: float) -> float:
-    """Deterministic classical phase: theta(t) = G(t) thetadot0 + Gdot(t) theta0."""
-    G, Gdot = g_fun(spec, t)
-    return G * thetadot0 + Gdot * theta0
+    return -(ws**alpha) * t ** (1.0 - spec.s) * mittag_leffler(alpha, alpha, x)
 
 
 def kappa(spec: BathSpec, u: float, t: float) -> tuple[float, float]:
@@ -133,27 +94,6 @@ def classical_paths(b: PathBoundary, spec: BathSpec, u: float) -> tuple[float, f
     phi_plus = ki * b.phi_plus_i + kf * b.phi_plus_f
     phi_minus = ki_r * b.phi_minus_f + kf_r * b.phi_minus_i
     return phi_plus, phi_minus
-
-
-def phi_plus_dot(b: PathBoundary, spec: BathSpec, u: float) -> float:
-    """Analytic time derivative of phi+_cl(u)."""
-    Gt, Gdt = g_fun(spec, b.t)
-    if Gt == 0.0:
-        raise ValueError("G(t) vanishes; path derivative is undefined")
-    Gu, Gdu = g_fun(spec, u)
-    Gddu = g_ddot(spec, u)
-    ki_dot = Gddu - Gdt / Gt * Gdu
-    kf_dot = Gdu / Gt
-    return ki_dot * b.phi_plus_i + kf_dot * b.phi_plus_f
-
-
-def classical_action(b: PathBoundary, spec: BathSpec, inertia: float) -> float:
-    """Boundary form of the classical action, in units of hbar when I = hbar*mu.
-
-    S = -I [phid+_cl(t) phi-_f - phid+_cl(0) phi-_i].
-    """
-    return -inertia * (phi_plus_dot(b, spec, b.t) * b.phi_minus_f
-                       - phi_plus_dot(b, spec, 0.0) * b.phi_minus_i)
 
 
 def tau_damp(spec: BathSpec, horizon_factor: float = 1e6,

@@ -11,6 +11,7 @@ from .bath import BathSpec
 from .constants import HBAR, K_B
 
 __all__ = [
+    "ODE_CUTOFFS",
     "DiscreteBath",
     "discretize_bath",
     "simulate_bath_ode",
@@ -18,6 +19,11 @@ __all__ = [
     "total_energy",
     "sample_noise",
 ]
+
+# bath exponent s -> cutoff Omega (scaled units, g = I = 1) at which the
+# 4096-mode bath ODE reproduces G(t) to 1e-3; `cdwring oracle` interpolates
+# between them geometrically in s
+ODE_CUTOFFS = {0.8: 185.0, 1.0: 2000.0, 1.2: 2300.0}
 
 
 @dataclass(frozen=True)

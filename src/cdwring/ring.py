@@ -9,15 +9,13 @@ import numpy as np
 
 from .bath import BathSpec
 from .errors import DegenerateNormalizationError, DegenerateWindowError
-from .specfun import QuadControl, DEFAULT_QUAD, sinc
+from .specfun import sinc
 from . import decoherence, dynamics
 
 __all__ = [
     "RingState",
     "WindingTerms",
     "w_isolated",
-    "winding_shifts",
-    "winding_sets",
     "w_general",
     "w_early",
     "charge_density_amplitude",
@@ -55,7 +53,6 @@ class RingState:
     l: int = 0
     theta0: float = 0.0
     sigma: float = 0.0
-    grid: np.ndarray | None = field(default=None, repr=False)
     _norm: float = field(default=1.0, repr=False)
 
     @classmethod
@@ -76,19 +73,6 @@ class RingState:
         norm_sq = np.mean(state._psi_unnormalized(th) ** 2) * _TWO_PI
         object.__setattr__(state, "_norm", 1.0 / math.sqrt(norm_sq))
         return state
-
-    @classmethod
-    def from_grid(cls, rho: np.ndarray) -> "RingState":
-        rho = np.asarray(rho, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValueError("grid state requires a square matrix")
-        if not np.allclose(rho, rho.conj().T, atol=1e-9):
-            raise ValueError("grid density matrix must be Hermitian")
-        n = rho.shape[0]
-        trace = np.mean(np.real(np.diag(rho))) * _TWO_PI
-        if abs(trace - 1.0) > 1e-9:
-            raise ValueError(f"grid density matrix trace {trace} != 1")
-        return cls(kind="grid", grid=rho)
 
     def _psi_unnormalized(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -112,31 +96,9 @@ class RingState:
             psi_b = self._norm * self._psi_unnormalized(
                 _wrap(b - self.theta0) + self.theta0)
             return (psi_a * psi_b).astype(complex)
-        if self.kind == "grid":
-            return self._rho_grid(a, b)
         raise ValueError(f"unknown state kind {self.kind!r}")
 
-    def _rho_grid(self, a, b):
-        n = self.grid.shape[0]
-        h = _TWO_PI / n
-        ia = (np.asarray(a) + math.pi) / h
-        ib = (np.asarray(b) + math.pi) / h
-        i0 = np.floor(ia).astype(int)
-        j0 = np.floor(ib).astype(int)
-        fa = ia - i0
-        fb = ib - j0
-        i0 %= n
-        j0 %= n
-        i1 = (i0 + 1) % n
-        j1 = (j0 + 1) % n
-        g = self.grid
-        return ((1 - fa) * (1 - fb) * g[i0, j0] + fa * (1 - fb) * g[i1, j0]
-                + (1 - fa) * fb * g[i0, j1] + fa * fb * g[i1, j1])
-
     def trace(self, n: int = 2048) -> float:
-        if self.kind == "grid":
-            # the native nodes are exact; interpolating between them is not
-            return float(np.real(np.mean(np.diag(self.grid))) * _TWO_PI)
         th = np.linspace(-math.pi, math.pi, n, endpoint=False)
         return float(np.real(np.mean(self.rho(th, th))) * _TWO_PI)
 
@@ -181,33 +143,6 @@ def w_isolated(state: RingState, mu: float, t: float) -> complex:
     return _periodic_integral(f)
 
 
-def winding_shifts(n: int, t: float, spec: BathSpec, mu: float) -> tuple[float, float]:
-    """Winding-sector shifts f1 = 2 pi n Gdot - G/mu and f2 = 2 pi n Gdot."""
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    G, Gdot = dynamics.g_fun(spec, t)
-    return _TWO_PI * n * Gdot - G / mu, _TWO_PI * n * Gdot
-
-
-def _admissible(theta: float, c: float, Gdot: float):
-    """Integers n with -pi < theta + 2 pi n Gdot - c < pi."""
-    lo = (c - math.pi - theta) / (_TWO_PI * Gdot)
-    hi = (c + math.pi - theta) / (_TWO_PI * Gdot)
-    if Gdot < 0:
-        lo, hi = hi, lo
-    return set(range(math.floor(lo) + 1, math.ceil(hi)))
-
-
-def winding_sets(theta: float, t: float, spec: BathSpec, mu: float):
-    """Admissible winding integers (S1, S2) for the shifted coordinate window."""
-    if not -math.pi <= theta < math.pi:
-        raise ValueError(f"theta must lie in [-pi, pi), got {theta}")
-    G, Gdot = dynamics.g_fun(spec, t)
-    if Gdot == 0.0:
-        raise DegenerateWindowError("Gdot(t) = 0: infinitely many admissible windings")
-    return (_admissible(theta, G / mu, Gdot), _admissible(theta, 0.0, Gdot))
-
-
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(128)
 
 
@@ -216,31 +151,42 @@ def _gauss_segment(f, a, b):
     return 0.5 * (b - a) * np.dot(_GAUSS_W, f(u))
 
 
+def _windings(c: float, Gdot: float):
+    """Windings n of one sector with their shift and theta windows.
+
+    The shift is f_n = 2 pi n Gdot - c.  rho(th - f_n, th) needs th - f_n in
+    (-pi, pi) and rho(th, th + f_n) needs th + f_n in (-pi, pi); the windows
+    (a_plus, b_plus, a_minus, b_minus) are those ranges of th within
+    (-pi, pi).  Returns the (n, f_n, windows) whose windows are not empty:
+    the union over th of the admissible windings.
+    """
+    lo = (c - _TWO_PI) / (_TWO_PI * Gdot)
+    hi = (c + _TWO_PI) / (_TWO_PI * Gdot)
+    if Gdot < 0:
+        lo, hi = hi, lo
+    out = []
+    for n in range(math.floor(lo) + 1, math.ceil(hi)):
+        f_n = _TWO_PI * n * Gdot - c
+        windows = (max(-math.pi, -math.pi + f_n), min(math.pi, math.pi + f_n),
+                   max(-math.pi, -math.pi - f_n), min(math.pi, math.pi - f_n))
+        if windows[3] > windows[2]:
+            out.append((n, f_n, windows))
+    return out
+
+
 def _winding_terms(state: RingState, spec: BathSpec, mu: float, inertia: float,
-                   t: float, quad_ctl: QuadControl) -> WindingTerms:
+                   t: float) -> WindingTerms:
     G, Gdot = dynamics.g_fun(spec, t)
     if Gdot == 0.0:
         raise DegenerateWindowError("Gdot(t) = 0: infinitely many admissible windings")
     Gddot = dynamics.g_ddot(spec, t)
-    terms = []
-    for j, c in ((1, G / mu), (2, 0.0)):
-        # union over theta in (-pi, pi) of the admissible windings
-        lo = (c - _TWO_PI) / (_TWO_PI * Gdot)
-        hi = (c + _TWO_PI) / (_TWO_PI * Gdot)
-        if Gdot < 0:
-            lo, hi = hi, lo
-        for n in range(math.floor(lo) + 1, math.ceil(hi)):
-            f_n = _TWO_PI * n * Gdot - c
-            # rho(th - f_n, th) needs th - f_n in (-pi, pi) and
-            # rho(th, th + f_n) needs th + f_n in (-pi, pi)
-            windows = (max(-math.pi, -math.pi + f_n), min(math.pi, math.pi + f_n),
-                       max(-math.pi, -math.pi - f_n), min(math.pi, math.pi - f_n))
-            if windows[3] > windows[2]:
-                terms.append((j, n, f_n, windows))
+    terms = [(j, n, f_n, windows)
+             for j, c in ((1, G / mu), (2, 0.0))
+             for n, f_n, windows in _windings(c, Gdot)]
     # every winding's Gamma from one evaluation of the quadratic form
     gams = decoherence.noise_action(np.array([_TWO_PI * n for _, n, _, _ in terms]),
                                     np.array([f_n for _, _, f_n, _ in terms]),
-                                    t, spec, inertia, quad_ctl)
+                                    t, spec, inertia)
     r = np.zeros((2, 2), dtype=complex)  # rows: sectors 1, 2; columns: +, -
     for (j, n, f_n, (a_plus, b_plus, a_minus, b_minus)), gam in zip(terms, gams):
         fdot_n = _TWO_PI * n * Gddot - (Gdot / mu if j == 1 else 0.0)
@@ -259,13 +205,13 @@ def _winding_terms(state: RingState, spec: BathSpec, mu: float, inertia: float,
 
 
 def w_general(state: RingState, spec: BathSpec, mu: float, inertia: float,
-              t: float, quad_ctl: QuadControl = DEFAULT_QUAD) -> complex:
+              t: float) -> complex:
     """General winding-summed expectation value of the sliding operator."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     if abs(state.trace() - 1.0) > 1e-6:
         raise ValueError("state is not normalized")
-    return _winding_terms(state, spec, mu, inertia, t, quad_ctl).ratio()
+    return _winding_terms(state, spec, mu, inertia, t).ratio()
 
 
 def w_early(state: RingState, spec: BathSpec, mu: float, t: float) -> complex:

@@ -7,7 +7,6 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import mpmath
@@ -17,10 +16,10 @@ from scipy.special import rgamma, gammaln, gammasgn
 from .errors import EvaluationError
 
 __all__ = [
-    "SeriesControl",
-    "QuadControl",
-    "DEFAULT_SERIES",
-    "DEFAULT_QUAD",
+    "SERIES_REL_TOL",
+    "SERIES_MAX_TERMS",
+    "QUAD_REL_TOL",
+    "QUAD_LIMIT",
     "mittag_leffler",
     "hyp1f2",
     "sinc",
@@ -28,36 +27,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Convergence control for series summation."""
-
-    rel_tol: float = 1e-10
-    max_terms: int = 1_000_000
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-
-@dataclass(frozen=True)
-class QuadControl:
-    """Convergence control for adaptive quadrature."""
-
-    rel_tol: float = 1e-10
-    limit: int = 500
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if self.limit < 1:
-            raise ValueError("limit must be >= 1")
-
-
-DEFAULT_SERIES = SeriesControl()
-DEFAULT_QUAD = QuadControl()
+# convergence settings of the series and of every adaptive quadrature
+SERIES_REL_TOL = 1e-10
+SERIES_MAX_TERMS = 1_000_000
+QUAD_REL_TOL = 1e-10
+QUAD_LIMIT = 500
 
 # Nominal switchover radius for the Mittag-Leffler power series at negative
 # argument.  The float series is only trusted while the predicted
@@ -67,18 +41,18 @@ ML_SERIES_RADIUS = 5.0
 _CANCEL_GUARD = 7.0  # |x|**(1/alpha) above which float cancellation is unsafe
 
 
-def _ml_series_float(alpha: float, beta: float, x: float, ctl: SeriesControl) -> float:
+def _ml_series_float(alpha: float, beta: float, x: float) -> float:
     """Power series sum_k x^k / Gamma(alpha*k + beta) in double precision."""
     total = 0.0
     k = 0
     logax = math.log(abs(x)) if x != 0.0 else -math.inf
     sign = 1.0
-    while k < ctl.max_terms:
+    while k < SERIES_MAX_TERMS:
         g = alpha * k + beta
         log_term = k * logax - gammaln(g)
         term = sign * gammasgn(g) * math.exp(log_term) if log_term > -745 else 0.0
         total += term
-        if k > 0 and abs(term) <= ctl.rel_tol * max(abs(total), 1e-300):
+        if k > 0 and abs(term) <= SERIES_REL_TOL * max(abs(total), 1e-300):
             # one extra term as a safety margin
             return total
         if x < 0:
@@ -90,7 +64,7 @@ def _ml_series_float(alpha: float, beta: float, x: float, ctl: SeriesControl) ->
     )
 
 
-def _ml_asymptotic(alpha: float, beta: float, x: float, ctl: SeriesControl):
+def _ml_asymptotic(alpha: float, beta: float, x: float):
     """Algebraic expansion -sum_{k>=1} x^-k / Gamma(beta - alpha k) for x -> -inf.
 
     Returns (value, ok).  The error estimate combines the smallest retained
@@ -116,11 +90,11 @@ def _ml_asymptotic(alpha: float, beta: float, x: float, ctl: SeriesControl):
     exp_part = math.exp(root * math.cos(math.pi / alpha)) if root * abs(
         math.cos(math.pi / alpha)) < 700 else 0.0
     err = last + exp_part
-    ok = err <= ctl.rel_tol * abs(total) and total != 0.0
+    ok = err <= SERIES_REL_TOL * abs(total) and total != 0.0
     return total, ok
 
 
-def _ml_series_mp(alpha: float, beta: float, x: float, ctl: SeriesControl) -> float:
+def _ml_series_mp(alpha: float, beta: float, x: float) -> float:
     """Arbitrary-precision series summation, sized to absorb cancellation."""
     root = abs(x) ** (1.0 / alpha) if x != 0 else 0.0
     dps = 25 + int(0.5 * root)
@@ -132,7 +106,7 @@ def _ml_series_mp(alpha: float, beta: float, x: float, ctl: SeriesControl) -> fl
         term_scale = mpmath.mpf(0)
         k = 0
         power = mpmath.mpf(1)
-        while k < ctl.max_terms:
+        while k < SERIES_MAX_TERMS:
             # the gamma argument must carry full precision: a double-rounded
             # argument perturbs the huge alternating terms inconsistently and
             # the cancellation never recovers
@@ -149,13 +123,12 @@ def _ml_series_mp(alpha: float, beta: float, x: float, ctl: SeriesControl) -> fl
     )
 
 
-def mittag_leffler(alpha: float, beta: float, x: float,
-                   ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def mittag_leffler(alpha: float, beta: float, x: float) -> float:
     """Generalized Mittag-Leffler function E_{alpha,beta}(x) for real x.
 
     Power series for moderate arguments; for large negative x the algebraic
     large-argument expansion is used when its truncation error is below
-    ``ctl.rel_tol``, with an extended-precision series as fallback.
+    ``SERIES_REL_TOL``, with an extended-precision series as fallback.
     """
     if not (0 < alpha <= 2):
         raise ValueError(f"alpha must be in (0, 2], got {alpha}")
@@ -167,15 +140,14 @@ def mittag_leffler(alpha: float, beta: float, x: float,
         return rgamma(beta)
     if x > 0 or (abs(x) <= ML_SERIES_RADIUS
                  and abs(x) ** (1.0 / alpha) <= _CANCEL_GUARD):
-        return _ml_series_float(alpha, beta, x, ctl)
-    value, ok = _ml_asymptotic(alpha, beta, x, ctl)
+        return _ml_series_float(alpha, beta, x)
+    value, ok = _ml_asymptotic(alpha, beta, x)
     if ok:
         return value
-    return _ml_series_mp(alpha, beta, x, ctl)
+    return _ml_series_mp(alpha, beta, x)
 
 
-def hyp1f2(a: float, b1: float, b2: float, z: float,
-           ctl: SeriesControl = DEFAULT_SERIES) -> float:
+def hyp1f2(a: float, b1: float, b2: float, z: float) -> float:
     """Generalized hypergeometric 1F2(a; b1, b2; z) for real z.
 
     Entire in z; evaluated by extended-precision summation so that the

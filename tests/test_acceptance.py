@@ -83,11 +83,10 @@ def test_02_cross_oracle_G():
 
 def test_03_discrete_bath_ode():
     # cutoffs per exponent, shared with ``cdwring oracle``; scaled units
-    cutoffs = {0.8: 185.0, 1.0: 2000.0, 1.2: 2300.0}
     n_modes = 4096
     details = []
     worst = 0.0
-    for s, Om in cutoffs.items():
+    for s, Om in oracle.ODE_CUTOFFS.items():
         spec = BathSpec(s=s, g_s=1.0, Omega=Om, T=0.0)
         recurrence = 2.0 * math.pi * n_modes / Om
         t_end = min(dynamics.tau_damp(spec), 0.5 * recurrence)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from cdwring.bath import (
     BathSpec,
-    KernelSample,
     spectral_density,
     omega_s,
     memory_kernel_laplace,
@@ -31,11 +30,6 @@ class TestBathSpec:
             BathSpec(s=1.0, g_s=1.0, Omega=-1.0)
         with pytest.raises(ValueError):
             BathSpec(s=1.0, g_s=1.0, Omega=1.0, T=-0.1)
-
-    def test_kernel_sample_validation(self):
-        KernelSample(t=0.0, value=1.0)
-        with pytest.raises(ValueError):
-            KernelSample(t=-1.0, value=1.0)
 
 
 class TestSpectralDensity:

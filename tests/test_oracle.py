@@ -7,7 +7,7 @@ import pytest
 
 from cdwring.bath import BathSpec, noise_kernel
 from cdwring.constants import HBAR, K_B
-from cdwring.dynamics import g_fun, tau_damp, classical_trajectory
+from cdwring.dynamics import g_fun, tau_damp
 from cdwring.oracle import (
     DiscreteBath,
     discretize_bath,
@@ -81,8 +81,9 @@ class TestSimulateBathOde:
         t_end = min(tau_damp(spec), 0.5 * 2.0 * math.pi * 4096 / spec.Omega)
         t_grid = np.linspace(0.25 * t_end, t_end, 4)
         out = simulate_bath_ode(bath, 0.1, 2.0, t_grid)
-        ref = np.array([classical_trajectory(0.1, 2.0, spec, float(t))
-                        for t in t_grid])
+        # classical trajectory G(t) thetadot0 + Gdot(t) theta0
+        G, Gdot = np.array([g_fun(spec, float(t)) for t in t_grid]).T
+        ref = G * 2.0 + Gdot * 0.1
         assert np.max(np.abs(out - ref) / np.abs(ref)) < 1e-3
 
     def test_converges_to_fundamental_solution(self):

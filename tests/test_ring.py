@@ -14,9 +14,8 @@ from cdwring import decoherence
 from cdwring.ring import (
     RingState,
     WindingTerms,
+    _windings,
     w_isolated,
-    winding_shifts,
-    winding_sets,
     w_general,
     w_early,
     charge_density_amplitude,
@@ -29,12 +28,6 @@ MU = 1e-8
 PERIOD = 4.0 * math.pi * MU
 FIG4 = BathSpec(s=1.2, g_s=1.0, Omega=1.0 / MU, T=0.0)
 NO_DAMPING = BathSpec(s=1.2, g_s=1e-12, Omega=1.0 / MU, T=0.0)
-
-
-def _grid_from_state(state: RingState, n: int = 256) -> RingState:
-    th = np.linspace(-math.pi, math.pi, n, endpoint=False)
-    rho = state.rho(th[:, None], th[None, :])
-    return RingState.from_grid(np.asarray(rho, dtype=complex))
 
 
 class TestRingState:
@@ -68,24 +61,6 @@ class TestRingState:
     def test_gaussian_requires_positive_width(self):
         with pytest.raises(ValueError):
             RingState.wrapped_gaussian(0.0, 0.0)
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            RingState.from_grid(np.ones((3, 4)))
-        bad = np.ones((4, 4), dtype=complex)
-        bad[0, 1] = 2.0  # not Hermitian
-        with pytest.raises(ValueError):
-            RingState.from_grid(bad)
-        # Hermitian but wrong trace
-        with pytest.raises(ValueError):
-            RingState.from_grid(np.eye(4, dtype=complex))
-
-    def test_grid_state_reproduces_kernel(self):
-        base = RingState.wrapped_gaussian(0.0, 0.5)
-        grid = _grid_from_state(base, 512)
-        th = np.array([0.1, -0.8, 2.0])
-        assert np.allclose(grid.rho(th, th), base.rho(th, th), atol=1e-4)
-
 
 class TestWIsolated:
     def test_ground_state_silent(self):
@@ -123,13 +98,13 @@ class TestWIsolated:
             + state.rho(th, th - shift) * np.conj(phase))) * 2.0 * math.pi
         assert abs(coarse - fine) < 1e-9
 
-    def test_conjugate_transpose_symmetry(self):
-        base = RingState.wrapped_gaussian(0.7, 0.5)
-        grid = _grid_from_state(base, 512)
-        grid_ct = RingState.from_grid(np.conj(np.asarray(grid.grid)).T)
+    def test_reflection_symmetry(self):
+        # theta -> -theta maps mirrored states onto each other and turns
+        # <W> into its complex conjugate
         t = 0.21 * PERIOD
-        assert w_isolated(grid, MU, t) == pytest.approx(
-            w_isolated(grid_ct, MU, t), abs=1e-12)
+        w_pos = w_isolated(RingState.wrapped_gaussian(0.7, 0.5), MU, t)
+        w_neg = w_isolated(RingState.wrapped_gaussian(-0.7, 0.5), MU, t)
+        assert w_pos == pytest.approx(np.conj(w_neg), abs=1e-12)
 
     def test_bounded(self):
         state = RingState.wrapped_gaussian(0.0, 0.3)
@@ -142,58 +117,95 @@ class TestWIsolated:
 
 
 class TestWindingShifts:
+    # f_n = 2 pi n Gdot - c with c = G/mu in sector 1 and c = 0 in sector 2
+
     def test_zero_winding(self):
         t = 0.5 * PERIOD
-        G, _ = g_fun(FIG4, t)
-        f1, f2 = winding_shifts(0, t, FIG4, MU)
-        assert f1 == pytest.approx(-G / MU, rel=1e-12)
-        assert f2 == 0.0
+        G, Gdot = g_fun(FIG4, t)
+        f1 = {n: f for n, f, _ in _windings(G / MU, Gdot)}
+        f2 = {n: f for n, f, _ in _windings(0.0, Gdot)}
+        assert f1[0] == pytest.approx(-G / MU, rel=1e-12)
+        assert f2[0] == 0.0
 
     def test_no_damping_limit(self):
         t = 0.25 * PERIOD
-        f1, f2 = winding_shifts(2, t, NO_DAMPING, MU)
-        assert f1 == pytest.approx(4.0 * math.pi - t / MU, rel=1e-9)
-        assert f2 == pytest.approx(4.0 * math.pi, rel=1e-9)
+        G, Gdot = g_fun(NO_DAMPING, t)
+        f1 = {n: f for n, f, _ in _windings(G / MU, Gdot)}
+        assert f1[0] == pytest.approx(-t / MU, rel=1e-9)
+        assert f1[1] == pytest.approx(2.0 * math.pi - t / MU, rel=1e-9)
 
     def test_ohmic_arithmetic(self):
         ohmic = BathSpec(s=1.0, g_s=1.0, Omega=1e3)
-        f1, f2 = winding_shifts(1, 1.0, ohmic, 1.0)
-        G = 1.0 - math.exp(-1.0)
-        Gdot = math.exp(-1.0)
-        assert f1 == pytest.approx(2.0 * math.pi * Gdot - G, rel=1e-12)
-        assert f2 == pytest.approx(2.0 * math.pi * Gdot, rel=1e-12)
+        G, Gdot = g_fun(ohmic, 1.0)
+        f1 = {n: f for n, f, _ in _windings(G, Gdot)}
+        f2 = {n: f for n, f, _ in _windings(0.0, Gdot)}
+        G_ref = 1.0 - math.exp(-1.0)
+        Gdot_ref = math.exp(-1.0)
+        assert f1[1] == pytest.approx(2.0 * math.pi * Gdot_ref - G_ref, rel=1e-12)
+        assert f2[1] == pytest.approx(2.0 * math.pi * Gdot_ref, rel=1e-12)
+
+
+def _minus_windows(c, Gdot):
+    """Winding -> (a_minus, b_minus), the theta range of rho(th, th + f_n)."""
+    return {n: (w[2], w[3]) for n, _, w in _windings(c, Gdot)}
 
 
 class TestWindingSets:
+    # _windings collects the union over theta in (-pi, pi) of the admissible
+    # windings, so a winding that is admissible on a sliver of the circle
+    # only is collected too
+
     def test_origin_of_time(self):
-        s1, s2 = winding_sets(0.3, 0.0, FIG4, MU)
-        assert s1 == {0}
-        assert s2 == {0}
+        t = 1e-3 * MU
+        G, Gdot = g_fun(FIG4, t)
+        s1 = _minus_windows(G / MU, Gdot)
+        s2 = _minus_windows(0.0, Gdot)
+        assert set(s1) == {0, 1}
+        assert set(s2) == {-1, 0, 1}
+        # winding 0 covers all of the circle but a sliver of width |f_0|
+        for windows in (s1, s2):
+            for n, (a, b) in windows.items():
+                if n == 0:
+                    assert b - a > 2.0 * math.pi - 1e-2
+                else:
+                    assert 0.0 < b - a < 1e-2
 
     def test_early_time_split(self):
         # at t = 2 pi mu (m + a) the admissible winding jumps from m to m+1
         # as theta crosses -2 a pi
         m, a = 3, 0.25
         t = 2.0 * math.pi * MU * (m + a)
-        eps = 0.05
-        s1_hi, _ = winding_sets(-2.0 * a * math.pi + eps, t, NO_DAMPING, MU)
-        s1_lo, _ = winding_sets(-2.0 * a * math.pi - eps, t, NO_DAMPING, MU)
-        assert s1_hi == {m}
-        assert s1_lo == {m + 1}
+        G, Gdot = g_fun(NO_DAMPING, t)
+        s1 = _minus_windows(G / MU, Gdot)
+        assert set(s1) == {m, m + 1}
+        assert s1[m][0] == pytest.approx(-2.0 * a * math.pi, rel=1e-9)
+        assert s1[m][1] == math.pi
+        assert s1[m + 1][0] == -math.pi
+        assert s1[m + 1][1] == pytest.approx(-2.0 * a * math.pi, rel=1e-9)
 
     def test_window_width(self):
-        # Gdot = 0.5 spaces the shifted windows by pi, so one or two integers
+        # Gdot = 0.5 spaces the shifted windows by pi, so one or two windings
         # are admissible at every theta
         ohmic = BathSpec(s=1.0, g_s=1.0, Omega=1e3)
-        t = math.log(2.0)  # Gdot = e^-t = 0.5
+        G, Gdot = g_fun(ohmic, math.log(2.0))  # Gdot = e^-t = 0.5
+        assert Gdot == 0.5
+        s1 = _minus_windows(G, Gdot)
+        s2 = _minus_windows(0.0, Gdot)
+        assert set(s1) == {-1, 0, 1, 2}
+        assert set(s2) == {-1, 0, 1}
         for theta in np.linspace(-math.pi, math.pi, 17, endpoint=False):
-            s1, s2 = winding_sets(float(theta), t, ohmic, 1.0)
-            assert len(s1) in (1, 2)
-            assert len(s2) in (1, 2)
+            for windows in (s1, s2):
+                covering = [n for n, (a, b) in windows.items() if a <= theta < b]
+                assert len(covering) in (1, 2)
 
-    def test_rejects_out_of_window_theta(self):
-        with pytest.raises(ValueError):
-            winding_sets(3.5, 0.0, FIG4, MU)
+    def test_empty_window_not_collected(self):
+        # f_n = +-2 pi leaves an empty window: at Gdot = 0.5 and c = 0 the
+        # windings n = +-2 are not collected, and for c just below pi the
+        # range of n reaches n = -1, whose shift rounds to -2 pi exactly
+        assert set(_minus_windows(0.0, 0.5)) == {-1, 0, 1}
+        c = math.nextafter(math.pi, 0.0)
+        assert -math.pi - c == -2.0 * math.pi  # f_{-1} = 2 pi (-1)(0.5) - c
+        assert set(_minus_windows(c, 0.5)) == {0, 1, 2}
 
 
 class TestWGeneral:

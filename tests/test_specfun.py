@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdwring import specfun
 from cdwring.errors import EvaluationError
 from cdwring.specfun import (
-    SeriesControl,
-    QuadControl,
     mittag_leffler,
     hyp1f2,
     sinc,
@@ -35,21 +34,11 @@ ML_REFERENCE = [
 
 class TestSeriesControl:
     def test_defaults(self):
-        ctl = SeriesControl()
-        assert ctl.rel_tol == 1e-10
-        assert ctl.max_terms == 1_000_000
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SeriesControl(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            SeriesControl(max_terms=0)
-
-    def test_quad_control_validation(self):
-        with pytest.raises(ValueError):
-            QuadControl(rel_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadControl(limit=0)
+        # the series and quadrature settings every caller runs with
+        assert specfun.SERIES_REL_TOL == 1e-10
+        assert specfun.SERIES_MAX_TERMS == 1_000_000
+        assert specfun.QUAD_REL_TOL == 1e-10
+        assert specfun.QUAD_LIMIT == 500
 
 
 class TestMittagLeffler:
@@ -103,10 +92,10 @@ class TestMittagLeffler:
         with pytest.raises(ValueError):
             mittag_leffler(1.0, 1.0, math.inf)
 
-    def test_nonconvergence_raises(self):
-        ctl = SeriesControl(rel_tol=1e-10, max_terms=2)
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(specfun, "SERIES_MAX_TERMS", 2)
         with pytest.raises(EvaluationError) as exc_info:
-            mittag_leffler(1.0, 1.0, 3.0, ctl)
+            mittag_leffler(1.0, 1.0, 3.0)
         assert exc_info.value.diagnostics  # partial diagnostics attached
 
     def test_inverse_laplace_consistency(self):
