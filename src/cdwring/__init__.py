@@ -7,48 +7,19 @@ discretized-bath oracle for cross validation.
 
 __version__ = "0.1.0"
 
-from .bath import BathSpec, omega_s, spectral_density, memory_kernel_laplace, noise_kernel
+from .bath import BathSpec, omega_s, noise_kernel
 from .dynamics import g_fun, g_ddot, kappa, classical_paths, tau_damp
-from .decoherence import (
-    noise_action,
-    gamma_early,
-    gamma_early_lowT,
-    tau_decoh,
-    tau_Q,
-    lattice_points,
-)
-from .ring import (
-    RingState,
-    w_isolated,
-    w_general,
-    w_early,
-    charge_density_amplitude,
-    charge_density,
-)
-from .params import (
-    RingSpec,
-    CircuitSpec,
-    CommensurabilitySpec,
-    derived_scales,
-    circuit_coupling,
-    radius_upper_bound,
-    commensurability_energy,
-    cdw_wavelength,
-)
+from .decoherence import noise_action, gamma_early, gamma_early_lowT, tau_decoh
+from .ring import (RingState, w_isolated, w_general, w_early,
+                   charge_density_amplitude, charge_density)
+from .params import RingSpec, derived_scales
 from .specfun import mittag_leffler, hyp1f2, inverse_laplace
-from .errors import (
-    EvaluationError,
-    RootNotFoundError,
-    DegenerateWindowError,
-    DegenerateNormalizationError,
-)
+from .errors import EvaluationError, RootNotFoundError
 
 __all__ = [
     "__version__",
     "BathSpec",
     "omega_s",
-    "spectral_density",
-    "memory_kernel_laplace",
     "noise_kernel",
     "g_fun",
     "g_ddot",
@@ -59,8 +30,6 @@ __all__ = [
     "gamma_early",
     "gamma_early_lowT",
     "tau_decoh",
-    "tau_Q",
-    "lattice_points",
     "RingState",
     "w_isolated",
     "w_general",
@@ -68,18 +37,10 @@ __all__ = [
     "charge_density_amplitude",
     "charge_density",
     "RingSpec",
-    "CircuitSpec",
-    "CommensurabilitySpec",
     "derived_scales",
-    "circuit_coupling",
-    "radius_upper_bound",
-    "commensurability_energy",
-    "cdw_wavelength",
     "mittag_leffler",
     "hyp1f2",
     "inverse_laplace",
     "EvaluationError",
     "RootNotFoundError",
-    "DegenerateWindowError",
-    "DegenerateNormalizationError",
 ]

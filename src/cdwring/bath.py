@@ -1,4 +1,4 @@
-"""Power-law bath: spectral density, memory kernel, and noise kernel."""
+"""Power-law bath: parameters, damping frequency, thermal factor, noise kernel."""
 
 from __future__ import annotations
 
@@ -14,9 +14,7 @@ from .specfun import QUAD_LIMIT, QUAD_REL_TOL
 
 __all__ = [
     "BathSpec",
-    "spectral_density",
     "omega_s",
-    "memory_kernel_laplace",
     "noise_kernel",
     "coth_thermal",
 ]
@@ -58,25 +56,9 @@ def coth_thermal(spec: BathSpec, omega):
     return out[()]
 
 
-def spectral_density(spec: BathSpec, inertia: float, omega: float) -> float:
-    """J(omega) = I * g_s * omega^s for omega <= Omega, zero beyond the cutoff."""
-    if omega < 0:
-        raise ValueError(f"omega must be non-negative, got {omega}")
-    if omega > spec.Omega:
-        return 0.0
-    return inertia * spec.g_s * omega**spec.s
-
-
 def omega_s(spec: BathSpec) -> float:
     """Characteristic damping frequency (g_s / sin(pi s / 2))^(1/(2-s))."""
     return (spec.g_s / math.sin(math.pi * spec.s / 2.0)) ** (1.0 / (2.0 - spec.s))
-
-
-def memory_kernel_laplace(spec: BathSpec, z: float) -> float:
-    """Laplace-domain memory function omega_s^(2-s) * z^(s-1), z > 0."""
-    if not z > 0:
-        raise ValueError(f"z must be positive, got {z}")
-    return omega_s(spec) ** (2.0 - spec.s) * z ** (spec.s - 1.0)
 
 
 def noise_kernel(spec: BathSpec, inertia: float, t: float) -> float:

@@ -123,8 +123,7 @@ def cmd_amplitude(config: RunConfig) -> int:
     period = 4.0 * math.pi * config.mu
     rows = []
     for t in config.time_grid():
-        amp = ring.charge_density_amplitude(spec, config.mu, config.n1, t)
-        gam = decoherence.gamma_early(spec, config.mu, t)
+        amp, gam = ring.charge_density_amplitude(spec, config.mu, config.n1, t)
         rows.append([t, t / period, amp, gam])
     _emit(config, ["t", "t_over_P", "n1_osc", "Gamma"], rows)
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Noise action Gamma: general quadrature, early-time form, closed form, timescales."""
+"""Noise action Gamma: general quadrature, early-time form, closed form, tau_decoh."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 from .bath import BathSpec, coth_thermal
 from .constants import HBAR
 from .errors import EvaluationError, RootNotFoundError
-from .specfun import QUAD_LIMIT, QUAD_REL_TOL, hyp1f2
+from .specfun import QUAD_LIMIT, QUAD_REL_TOL, gauss_legendre, hyp1f2
 from . import dynamics
 
 __all__ = [
@@ -19,8 +19,6 @@ __all__ = [
     "gamma_early",
     "gamma_early_lowT",
     "tau_decoh",
-    "tau_Q",
-    "lattice_points",
 ]
 
 
@@ -74,7 +72,7 @@ def noise_action(phi_minus_f, phi_minus_i, t: float, spec: BathSpec,
     if n_nodes > _MAX_NODES:
         raise EvaluationError("noise action needs more Gauss nodes than allowed",
                               t=t, omega_t=spec.Omega * t, n_nodes=n_nodes)
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = gauss_legendre(n_nodes)
     u = 0.5 * t * (x + 1.0)
     # Gauss weights times kappa_i(t - u; t) and kappa_f(t - u; t)
     Gt, Gdt = dynamics.g_fun(spec, t)
@@ -210,30 +208,3 @@ def tau_decoh(spec: BathSpec, mu: float, horizon_factor: float = 1e8,
     raise RootNotFoundError(
         f"Gamma never reached 1 within horizon {horizon:.3e} s")
 
-
-def tau_Q(spec: BathSpec, mu: float) -> float:
-    """Effective lifetime min(tau_damp, tau_decoh).
-
-    If one timescale cannot be found the other is returned; if neither can,
-    the not-found error propagates.
-    """
-    td = tdec = None
-    try:
-        td = dynamics.tau_damp(spec)
-    except RootNotFoundError:
-        pass
-    try:
-        tdec = tau_decoh(spec, mu)
-    except RootNotFoundError:
-        if td is None:
-            raise
-    if td is None:
-        return tdec
-    if tdec is None:
-        return td
-    return min(td, tdec)
-
-
-def lattice_points(spec: BathSpec, mu: float) -> float:
-    """Number of observable oscillation periods tau_Q / (4 pi mu)."""
-    return tau_Q(spec, mu) / (4.0 * math.pi * mu)

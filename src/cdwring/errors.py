@@ -16,10 +16,3 @@ class EvaluationError(RuntimeError):
 class RootNotFoundError(RuntimeError):
     """A bracketed root search exhausted its horizon without a sign change."""
 
-
-class DegenerateWindowError(RuntimeError):
-    """The winding-set window is degenerate (infinitely many admissible integers)."""
-
-
-class DegenerateNormalizationError(RuntimeError):
-    """The normalization denominator of an expectation value vanished."""

@@ -17,7 +17,6 @@ __all__ = [
     "simulate_bath_ode",
     "noise_kernel_direct",
     "total_energy",
-    "sample_noise",
 ]
 
 # bath exponent s -> cutoff Omega (scaled units, g = I = 1) at which the
@@ -160,25 +159,3 @@ def noise_kernel_direct(bath: DiscreteBath, T: float, t: float) -> float:
     if T > 0:
         weights = weights / np.tanh(HBAR * bath.omegas / (2.0 * K_B * T))
     return float(np.dot(weights, np.cos(bath.omegas * t)))
-
-
-def sample_noise(bath: DiscreteBath, T: float, t_grid, rng,
-                 n_samples: int = 1) -> np.ndarray:
-    """Classical thermal realizations of the fluctuating force xi(t).
-
-    Initial bath coordinates are drawn from the classical equilibrium of the
-    displaced oscillators; valid as an alpha_R check only in the high-T
-    (classical) regime.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    sigma_R = np.sqrt(K_B * T / (bath.mass * bath.omegas**2))
-    sigma_P = np.sqrt(K_B * T * bath.mass)
-    out = np.empty((n_samples, t_grid.size))
-    coswt = np.cos(np.outer(t_grid, bath.omegas))
-    sinwt = np.sin(np.outer(t_grid, bath.omegas))
-    for i in range(n_samples):
-        R0 = rng.normal(0.0, sigma_R)
-        P0 = rng.normal(0.0, sigma_P)
-        out[i] = coswt @ (bath.couplings * R0) + sinwt @ (
-            bath.couplings * P0 / (bath.mass * bath.omegas))
-    return out

@@ -1,23 +1,16 @@
-"""Physical-parameter derivations for the ring, circuit coupling, and pinning."""
+"""Physical-parameter derivations for the ring: inertia, reduced inertia, period."""
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from .constants import HBAR, MU_0, E_CHARGE
+from .constants import HBAR
 
 __all__ = [
     "RingSpec",
-    "CircuitSpec",
-    "CommensurabilitySpec",
     "DerivedScales",
     "derived_scales",
-    "circuit_coupling",
-    "radius_upper_bound",
-    "commensurability_energy",
-    "cdw_wavelength",
 ]
 
 
@@ -41,40 +34,6 @@ class RingSpec:
 
 
 @dataclass(frozen=True)
-class CircuitSpec:
-    """External-coil equivalent of the fluctuating-flux environment."""
-
-    r_coil: float      # coil radius, m
-    inductance: float  # coil self-inductance, H
-    rho_modes: float   # bath mode density, 1/Hz
-
-    def __post_init__(self):
-        if not self.r_coil > 0:
-            raise ValueError("r_coil must be positive")
-        if not self.inductance > 0:
-            raise ValueError("inductance must be positive")
-        if not self.rho_modes > 0:
-            raise ValueError("rho_modes must be positive")
-
-
-@dataclass(frozen=True)
-class CommensurabilitySpec:
-    """Inputs of the commensurability pinning energy."""
-
-    gap: float           # |Delta|, eV
-    fermi_energy: float  # eV
-    bandwidth: float     # eV
-    M: int               # commensurability integer >= 2
-
-    def __post_init__(self):
-        for name in ("gap", "fermi_energy", "bandwidth"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if self.M < 2:
-            raise ValueError("M must be >= 2")
-
-
-@dataclass(frozen=True)
 class DerivedScales:
     """Inertia I, reduced inertia mu = I/hbar, and oscillation period P."""
 
@@ -87,48 +46,3 @@ def derived_scales(ring: RingSpec) -> DerivedScales:
     """I = hbar R vF / c0^2, mu = I/hbar, P = 4 pi mu."""
     mu = ring.R * ring.vF / ring.c0**2
     return DerivedScales(I=HBAR * mu, mu=mu, P=4.0 * math.pi * mu)
-
-
-def cdw_wavelength(ring: RingSpec) -> float:
-    """CDW wavelength lambda = pi / kF."""
-    return math.pi / ring.kF
-
-
-def circuit_coupling(ring: RingSpec, circuit: CircuitSpec) -> tuple[float, float]:
-    """Coil-equivalent coupling (beta, gamma = beta * R).
-
-    beta = pi mu0^2 e^2 rho c0^6 / (32 hbar r_coil^2 L vF^3), with L the
-    coil self-inductance; applicable when the coil is much larger than the
-    ring.
-    """
-    if circuit.r_coil < 10.0 * ring.R:
-        warnings.warn("circuit coupling assumes r_coil >> R", stacklevel=2)
-    beta = (math.pi * MU_0**2 * E_CHARGE**2 * circuit.rho_modes * ring.c0**6
-            / (32.0 * HBAR * circuit.r_coil**2 * circuit.inductance
-               * ring.vF**3))
-    return beta, beta * ring.R
-
-
-def radius_upper_bound(ring: RingSpec, beta: float) -> float:
-    """Largest radius with more than one observable oscillation: c0/(4 pi sqrt(vF beta)).
-
-    Also flags the wavelength lower bound: the ring must stay much larger
-    than the CDW wavelength (threshold R > 10 lambda).
-    """
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if ring.R <= 10.0 * cdw_wavelength(ring):
-        warnings.warn("ring radius is within 10 CDW wavelengths; "
-                      "the rigid-phase description degrades", stacklevel=2)
-    return ring.c0 / (4.0 * math.pi * math.sqrt(ring.vF * beta))
-
-
-def commensurability_energy(spec: CommensurabilitySpec, phi: float) -> float:
-    """Pinning energy (|D|^2/eF) (e|D|/W)^(M-2) M phi^2 / 2, in eV.
-
-    The dimensionless prefactor base uses Euler's number, the only reading
-    under which e|Delta|/W is a pure ratio of energies.
-    """
-    base = math.e * spec.gap / spec.bandwidth
-    return (spec.gap**2 / spec.fermi_energy * base ** (spec.M - 2)
-            * spec.M * phi * phi / 2.0)

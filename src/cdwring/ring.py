@@ -8,13 +8,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bath import BathSpec
-from .errors import DegenerateNormalizationError, DegenerateWindowError
-from .specfun import sinc
+from .errors import EvaluationError
+from .specfun import gauss_legendre, sinc
 from . import decoherence, dynamics
 
 __all__ = [
     "RingState",
-    "WindingTerms",
     "w_isolated",
     "w_general",
     "w_early",
@@ -24,21 +23,9 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-
-@dataclass(frozen=True)
-class WindingTerms:
-    """The four winding-summed integrals entering the general expectation value."""
-
-    r1_plus: complex
-    r1_minus: complex
-    r2_plus: complex
-    r2_minus: complex
-
-    def ratio(self) -> complex:
-        den = self.r2_plus + self.r2_minus
-        if abs(den) < 1e-300:
-            raise DegenerateNormalizationError("normalization denominator vanished")
-        return (self.r1_plus + self.r1_minus) / den
+# windings per sector above which w_general raises; a sector has about
+# 2 / |Gdot| of them, so this stops it once Gdot(t) falls below 2e-4
+_MAX_WINDINGS = 10_000
 
 
 @dataclass(frozen=True)
@@ -143,12 +130,10 @@ def w_isolated(state: RingState, mu: float, t: float) -> complex:
     return _periodic_integral(f)
 
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(128)
-
-
 def _gauss_segment(f, a, b):
-    u = 0.5 * (b - a) * (_GAUSS_X + 1.0) + a
-    return 0.5 * (b - a) * np.dot(_GAUSS_W, f(u))
+    x, w = gauss_legendre(128)
+    u = 0.5 * (b - a) * (x + 1.0) + a
+    return 0.5 * (b - a) * np.dot(w, f(u))
 
 
 def _windings(c: float, Gdot: float):
@@ -174,11 +159,23 @@ def _windings(c: float, Gdot: float):
     return out
 
 
-def _winding_terms(state: RingState, spec: BathSpec, mu: float, inertia: float,
-                   t: float) -> WindingTerms:
+def w_general(state: RingState, spec: BathSpec, mu: float, inertia: float,
+              t: float) -> complex:
+    """General winding-summed expectation value of the sliding operator.
+
+    Raises EvaluationError when a sector has more than 10,000 windings
+    (Gdot(t) near 0) or the normalization vanishes.
+    """
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
+    if abs(state.trace() - 1.0) > 1e-6:
+        raise ValueError("state is not normalized")
     G, Gdot = dynamics.g_fun(spec, t)
-    if Gdot == 0.0:
-        raise DegenerateWindowError("Gdot(t) = 0: infinitely many admissible windings")
+    windings = 2.0 / abs(Gdot) if Gdot else math.inf
+    if windings > _MAX_WINDINGS:
+        raise EvaluationError(f"Gdot(t) = {Gdot:.3g} needs about {windings:.3g} "
+                              f"windings per sector, more than {_MAX_WINDINGS}",
+                              t=t, Gdot=Gdot, windings=windings)
     Gddot = dynamics.g_ddot(spec, t)
     terms = [(j, n, f_n, windows)
              for j, c in ((1, G / mu), (2, 0.0))
@@ -201,17 +198,11 @@ def _winding_terms(state: RingState, spec: BathSpec, mu: float, inertia: float,
             a_minus, b_minus)
         r[j - 1, 0] += sector * damp * phase_half * i_plus
         r[j - 1, 1] += sector * damp * np.conj(phase_half) * i_minus
-    return WindingTerms(*r.ravel())
-
-
-def w_general(state: RingState, spec: BathSpec, mu: float, inertia: float,
-              t: float) -> complex:
-    """General winding-summed expectation value of the sliding operator."""
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if abs(state.trace() - 1.0) > 1e-6:
-        raise ValueError("state is not normalized")
-    return _winding_terms(state, spec, mu, inertia, t).ratio()
+    num, den = r[:, 0] + r[:, 1]
+    if abs(den) < 1e-300:
+        raise EvaluationError("normalization denominator of <W> vanished",
+                              t=t, numerator=num, denominator=den)
+    return num / den
 
 
 def w_early(state: RingState, spec: BathSpec, mu: float, t: float) -> complex:
@@ -240,25 +231,25 @@ def w_early(state: RingState, spec: BathSpec, mu: float, t: float) -> complex:
 
 
 def charge_density_amplitude(spec: BathSpec, mu: float, n1: float,
-                             t: float) -> float:
-    """Oscillating charge-density amplitude n1 sinc(pi Gdot) cos(Gdot G / 2mu) e^-Gamma.
+                             t: float) -> tuple[float, float]:
+    """Oscillating charge-density amplitude and its noise action (n1_osc, Gamma).
 
-    This is n1 times ``w_early`` for the flat state, so it carries that
-    form's O(1) difference from the winding sum ``w_general`` (see
+    n1_osc = n1 sinc(pi Gdot) cos(Gdot G / 2mu) e^-Gamma with the early-time
+    Gamma.  This is n1 times ``w_early`` for the flat state, so it carries
+    that form's O(1) difference from the winding sum ``w_general`` (see
     ``w_early``).
     """
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    gam = decoherence.gamma_early(spec, mu, t)
     if t == 0.0:
         # Gdot(0) = 1 makes the sinc factor an exact zero
-        return 0.0
+        return 0.0, gam
     G, Gdot = dynamics.g_fun(spec, t)
-    gam = decoherence.gamma_early(spec, mu, t)
     return float(n1 * sinc(math.pi * Gdot) * math.cos(0.5 * Gdot * G / mu)
-                 * math.exp(-gam))
+                 * math.exp(-gam)), gam
 
 
 def charge_density(x: float, t: float, n0: float, n1: float, kF: float,
                    spec: BathSpec, mu: float) -> float:
     """Charge density n(x, t) = n0 + n1_osc(t) cos(2 kF x)."""
-    return n0 + charge_density_amplitude(spec, mu, n1, t) * math.cos(2.0 * kF * x)
+    amp, _ = charge_density_amplitude(spec, mu, n1, t)
+    return n0 + amp * math.cos(2.0 * kF * x)

@@ -1,4 +1,4 @@
-"""Special-function kernel: Mittag-Leffler, 1F2, sinc, Talbot inversion.
+"""Special-function kernel: Mittag-Leffler, 1F2, sinc, Gauss-Legendre, Talbot.
 
 All routines are pure functions of their arguments and safe to call
 concurrently.
@@ -6,6 +6,7 @@ concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -23,6 +24,7 @@ __all__ = [
     "mittag_leffler",
     "hyp1f2",
     "sinc",
+    "gauss_legendre",
     "inverse_laplace",
 ]
 
@@ -175,6 +177,14 @@ def hyp1f2(a: float, b1: float, b2: float, z: float) -> float:
 def sinc(x):
     """Unnormalized sinc: sin(x)/x with sinc(0) = 1."""
     return np.sinc(np.asarray(x) / np.pi)[()]
+
+
+@functools.lru_cache(maxsize=32)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1], cached."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def inverse_laplace(F: Callable[[complex], complex], t: float,

@@ -172,7 +172,7 @@ def test_07_isolated_periodicity():
 def test_08_early_general_consistency():
     state = ring.RingState.ground()
     inertia = HBAR * MU
-    tau_q = decoherence.tau_Q(FIG4, MU)
+    tau_q = min(dynamics.tau_damp(FIG4), decoherence.tau_decoh(FIG4, MU))
     fractions = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3)
     w_early_vals, gaps = [], []
     for frac in fractions:
@@ -204,7 +204,7 @@ def test_09_monotonicity_suite():
     # amplitude bound
     n1 = 0.7
     checks.append(all(
-        abs(ring.charge_density_amplitude(FIG4, MU, n1, float(t))) <= n1
+        abs(ring.charge_density_amplitude(FIG4, MU, n1, float(t))[0]) <= n1
         for t in np.linspace(0.0, 10.0 * PERIOD, 40)))
     # expectation-value bound across the implemented paths
     state = ring.RingState.wrapped_gaussian(0.0, 0.4)

@@ -1,16 +1,13 @@
-"""Tests for the power-law bath: spectral density, memory kernel, noise kernel."""
+"""Tests for the power-law bath and its noise kernel."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from cdwring.bath import (
     BathSpec,
-    spectral_density,
     omega_s,
-    memory_kernel_laplace,
     noise_kernel,
     coth_thermal,
 )
@@ -32,35 +29,6 @@ class TestBathSpec:
             BathSpec(s=1.0, g_s=1.0, Omega=1.0, T=-0.1)
 
 
-class TestSpectralDensity:
-    def test_ohmic_linear(self):
-        spec = BathSpec(s=1.0, g_s=1.0, Omega=10.0)
-        assert spectral_density(spec, 1.0, 2.0) == 2.0
-
-    def test_zero_frequency(self):
-        spec = BathSpec(s=0.7, g_s=3.0, Omega=10.0)
-        assert spectral_density(spec, 1.0, 0.0) == 0.0
-
-    def test_hard_cutoff(self):
-        spec = BathSpec(s=1.2, g_s=1.0, Omega=10.0)
-        assert spectral_density(spec, 1.0, 10.0) > 0.0
-        assert spectral_density(spec, 1.0, 10.0 + 1e-9) == 0.0
-
-    def test_negative_frequency_rejected(self):
-        spec = BathSpec(s=1.0, g_s=1.0, Omega=10.0)
-        with pytest.raises(ValueError):
-            spectral_density(spec, 1.0, -1.0)
-
-    @given(st.floats(min_value=0.1, max_value=1.9),
-           st.floats(min_value=0.1, max_value=10.0))
-    @settings(max_examples=50, deadline=None)
-    def test_scales_linearly_in_coupling(self, s, g):
-        base = BathSpec(s=s, g_s=g, Omega=5.0)
-        doubled = BathSpec(s=s, g_s=2 * g, Omega=5.0)
-        assert spectral_density(doubled, 1.0, 2.0) == pytest.approx(
-            2.0 * spectral_density(base, 1.0, 2.0))
-
-
 class TestOmegaS:
     def test_ohmic(self):
         assert omega_s(BathSpec(s=1.0, g_s=1.0, Omega=1.0)) == pytest.approx(1.0)
@@ -76,28 +44,6 @@ class TestOmegaS:
         # (1/sin(pi/4))^(2/3) = 2^(1/3), frozen high-precision arithmetic
         assert omega_s(BathSpec(s=0.5, g_s=1.0, Omega=1.0)) == pytest.approx(
             1.2599210498948731648, rel=1e-14)
-
-
-class TestMemoryKernelLaplace:
-    def test_ohmic_constant(self):
-        spec = BathSpec(s=1.0, g_s=2.5, Omega=1.0)
-        for z in (0.1, 1.0, 50.0):
-            assert memory_kernel_laplace(spec, z) == pytest.approx(2.5)
-
-    def test_superohmic_arithmetic(self):
-        spec = BathSpec(s=1.5, g_s=1.0, Omega=1.0)
-        expected = omega_s(spec) ** 0.5 * 2.0
-        assert memory_kernel_laplace(spec, 4.0) == pytest.approx(expected,
-                                                                 rel=1e-13)
-
-    def test_vanishes_at_origin_superohmic(self):
-        spec = BathSpec(s=1.5, g_s=1.0, Omega=1.0)
-        assert memory_kernel_laplace(spec, 1e-12) < 1e-5
-
-    def test_rejects_nonpositive_z(self):
-        spec = BathSpec(s=1.0, g_s=1.0, Omega=1.0)
-        with pytest.raises(ValueError):
-            memory_kernel_laplace(spec, 0.0)
 
 
 class TestCothThermal:

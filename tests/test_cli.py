@@ -188,6 +188,7 @@ class TestParams:
         doc = json.loads(capsys.readouterr().out)
         assert doc["tau_decoh"]["value"] is None
         assert doc["tau_decoh"]["reason"]
+        assert doc["tau_Q"]["value"] == doc["tau_damp"]["value"]
 
 
 class TestOracleCommand:
@@ -263,6 +264,16 @@ class TestConfigAndExitCodes:
         assert run(["wexp", "--s", "1.2", "--g", "1", "--mu", "1e-8",
                     "--t-max-periods", "500", "--points", "2"]) == 2
         assert "Gauss nodes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("g", ["1e9", "1e7"])
+    def test_vanishing_gdot_exit_code(self, g, capsys):
+        # ohmic Gdot = e^-g t at 48 P: 0.0 for g = 1e9, 6.4e-27 for g = 1e7,
+        # both far past the winding bound of w_general
+        assert run(["wexp", "--s", "1", "--g", g, "--mu", "1e-8",
+                    "--t-max-periods", "48", "--points", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert "windings per sector" in err
 
     def test_stdout_emission(self, capsys):
         code = run(["gfun", "--mu", "1e-8", "--points", "2"])

@@ -1,5 +1,6 @@
 """Tests for the noise action, its closed form, and the decoherence timescales."""
 
+import json
 import math
 
 import numpy as np
@@ -12,11 +13,9 @@ from cdwring.decoherence import (
     gamma_early,
     gamma_early_lowT,
     tau_decoh,
-    tau_Q,
-    lattice_points,
 )
 from cdwring.errors import EvaluationError, RootNotFoundError
-from cdwring import dynamics, ring
+from cdwring import cli, dynamics, ring
 
 MU = 1e-8
 PERIOD = 4.0 * math.pi * MU
@@ -176,31 +175,48 @@ class TestTauDecoh:
             tau_decoh(weak, MU, horizon_factor=1e3)
 
 
+def _params_report(capsys, g="1"):
+    """tau_damp, tau_decoh, tau_Q and N as ``cdwring params`` reports them."""
+    assert cli.main(["params", "--s", "1.2", "--g", g, "--mu", "1e-8"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _no_damping_time(spec):
+    raise RootNotFoundError("forced miss")
+
+
 class TestTauQ:
-    def test_min_rule(self):
+    # tau_Q = min(tau_damp, tau_decoh) and N = tau_Q / P are formed by the
+    # params command, which keeps the reason of a timescale it cannot find
+
+    def test_min_rule(self, capsys):
         # super-ohmic at these scales: damping is far slower than decoherence
         td = dynamics.tau_damp(FIG4)
         tdec = tau_decoh(FIG4, MU)
-        assert tau_Q(FIG4, MU) == pytest.approx(min(td, tdec), rel=1e-9)
+        doc = _params_report(capsys)
+        assert doc["tau_Q"]["value"] == pytest.approx(min(td, tdec), rel=1e-9)
         assert tdec < td
 
-    def test_falls_back_when_damping_missing(self, monkeypatch):
-        def no_damp(spec):
-            raise RootNotFoundError("forced miss")
+    def test_falls_back_when_damping_missing(self, capsys, monkeypatch):
+        monkeypatch.setattr(dynamics, "tau_damp", _no_damping_time)
+        doc = _params_report(capsys)
+        assert doc["tau_damp"] == {"value": None, "reason": "forced miss"}
+        assert doc["tau_Q"]["value"] == doc["tau_decoh"]["value"]
+        assert doc["tau_Q"]["value"] == pytest.approx(tau_decoh(FIG4, MU),
+                                                      rel=1e-6)
+        assert doc["N"]["value"] == pytest.approx(
+            doc["tau_Q"]["value"] / PERIOD, rel=1e-15)
 
-        monkeypatch.setattr(dynamics, "tau_damp", no_damp)
-        val = tau_Q(FIG4, MU)
-        assert val == pytest.approx(tau_decoh(FIG4, MU), rel=1e-6)
+    def test_both_missing_propagates(self, capsys, monkeypatch):
+        # the weak bath of TestTauDecoh: neither timescale is found, so tau_Q
+        # and N are reported as null with a reason
+        monkeypatch.setattr(dynamics, "tau_damp", _no_damping_time)
+        doc = _params_report(capsys, g="1e-30")
+        for key in ("tau_Q", "N"):
+            assert doc[key]["value"] is None
+            assert doc[key]["reason"]
 
-    def test_both_missing_propagates(self, monkeypatch):
-        def no_damp(spec):
-            raise RootNotFoundError("forced miss")
-
-        monkeypatch.setattr(dynamics, "tau_damp", no_damp)
-        weak = BathSpec(s=1.2, g_s=1e-30, Omega=1.0 / MU, T=0.0)
-        with pytest.raises(RootNotFoundError):
-            tau_Q(weak, MU)
-
-    def test_lattice_points(self):
-        assert lattice_points(FIG4, MU) == pytest.approx(
-            tau_Q(FIG4, MU) / PERIOD, rel=1e-12)
+    def test_lattice_points(self, capsys):
+        doc = _params_report(capsys)
+        assert doc["N"]["value"] == pytest.approx(
+            doc["tau_Q"]["value"] / PERIOD, rel=1e-12)

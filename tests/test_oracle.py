@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cdwring.bath import BathSpec, noise_kernel
-from cdwring.constants import HBAR, K_B
 from cdwring.dynamics import g_fun, tau_damp
 from cdwring.oracle import (
     DiscreteBath,
@@ -14,7 +13,6 @@ from cdwring.oracle import (
     simulate_bath_ode,
     noise_kernel_direct,
     total_energy,
-    sample_noise,
 )
 
 SCALED = BathSpec(s=1.2, g_s=1.0, Omega=200.0, T=0.0)
@@ -156,26 +154,3 @@ class TestNoiseKernelDirect:
                             / abs(ref))
             errs.append(worst)
         assert errs[0] > errs[1] > errs[2]
-
-
-class TestSampleNoise:
-    def test_classical_variance(self):
-        # high-temperature (classical) regime only: the sampled force variance
-        # at t = 0 must reproduce hbar alpha_R(0) within statistics
-        bath = discretize_bath(SCALED, 1.0, 256)
-        T = 1e6 * HBAR * SCALED.Omega / K_B
-        rng = np.random.default_rng(42)
-        xs = sample_noise(bath, T, [0.0], rng, n_samples=4000)
-        var = float(np.var(xs[:, 0]))
-        ref = HBAR * noise_kernel_direct(bath, T, 0.0)
-        assert var == pytest.approx(ref, rel=5e-2)
-
-    def test_shape_and_determinism(self):
-        bath = discretize_bath(SCALED, 1.0, 32)
-        t_grid = [0.0, 0.1, 0.2]
-        a = sample_noise(bath, 10.0, t_grid, np.random.default_rng(5),
-                         n_samples=3)
-        b = sample_noise(bath, 10.0, t_grid, np.random.default_rng(5),
-                         n_samples=3)
-        assert a.shape == (3, 3)
-        assert np.array_equal(a, b)

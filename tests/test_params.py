@@ -7,13 +7,7 @@ import pytest
 from cdwring.constants import HBAR
 from cdwring.params import (
     RingSpec,
-    CircuitSpec,
-    CommensurabilitySpec,
     derived_scales,
-    circuit_coupling,
-    radius_upper_bound,
-    commensurability_energy,
-    cdw_wavelength,
 )
 
 RING = RingSpec(R=0.5e-6, vF=1e5, c0=100.0, n0=1e28, n1=1e26, kF=1e10)
@@ -66,96 +60,3 @@ class TestDerivedScales:
                                                           rel=1e-12)
         assert derived_scales(slower_phason).mu == pytest.approx(4.0 * base,
                                                                  rel=1e-12)
-
-
-class TestCircuitCoupling:
-    # 0.1 mm coil, 1.2 nH, mode density 1/mu = 2e5 per Hz
-    CIRCUIT = CircuitSpec(r_coil=1e-4, inductance=1.2e-9, rho_modes=2e5)
-
-    def test_gamma_linear_in_radius(self):
-        beta, gamma = circuit_coupling(RING, self.CIRCUIT)
-        doubled = RingSpec(R=1e-6, vF=1e5, c0=100.0, n0=1e28, n1=1e26,
-                           kF=1e10)
-        beta2, gamma2 = circuit_coupling(doubled, self.CIRCUIT)
-        assert beta2 == pytest.approx(beta, rel=1e-12)
-        assert gamma2 == pytest.approx(2.0 * gamma, rel=1e-12)
-
-    def test_inverse_square_in_coil_radius(self):
-        _, gamma = circuit_coupling(RING, self.CIRCUIT)
-        _, gamma_far = circuit_coupling(
-            RING, CircuitSpec(r_coil=2e-4, inductance=1.2e-9, rho_modes=2e5))
-        assert gamma_far == pytest.approx(gamma / 4.0, rel=1e-12)
-
-    def test_representative_coupling_below_1hz(self):
-        _, gamma = circuit_coupling(RING, self.CIRCUIT)
-        assert 0.0 < gamma < 1.0
-
-    def test_warns_for_small_coil(self):
-        with pytest.warns(UserWarning):
-            circuit_coupling(RING, CircuitSpec(r_coil=1e-6, inductance=1.2e-9,
-                                               rho_modes=2e5))
-
-
-class TestRadiusUpperBound:
-    def test_inverse_square_root(self):
-        bound = radius_upper_bound(RING, 1e-3)
-        assert radius_upper_bound(RING, 4e-3) == pytest.approx(bound / 2.0,
-                                                               rel=1e-12)
-
-    def test_representative_scale(self):
-        beta, _ = circuit_coupling(
-            RING, CircuitSpec(r_coil=1e-4, inductance=1.2e-9, rho_modes=2e5))
-        bound = radius_upper_bound(RING, beta)
-        assert 1e-4 < bound < 1e-2  # order 1 mm
-
-    def test_warns_when_ring_too_small(self):
-        tiny = RingSpec(R=1e-9, vF=1e5, c0=100.0, n0=1e28, n1=1e26, kF=1e9)
-        with pytest.warns(UserWarning):
-            radius_upper_bound(tiny, 1e-3)
-
-    def test_rejects_nonpositive_beta(self):
-        with pytest.raises(ValueError):
-            radius_upper_bound(RING, 0.0)
-
-
-class TestCommensurabilityEnergy:
-    SPEC = CommensurabilitySpec(gap=0.1, fermi_energy=1.0, bandwidth=3.0, M=4)
-
-    def test_zero_at_origin(self):
-        assert commensurability_energy(self.SPEC, 0.0) == 0.0
-
-    def test_quadratic_in_phi(self):
-        e1 = commensurability_energy(self.SPEC, 0.1)
-        e2 = commensurability_energy(self.SPEC, 0.2)
-        assert e2 == pytest.approx(4.0 * e1, rel=1e-12)
-
-    def test_m2_reduction(self):
-        spec = CommensurabilitySpec(gap=0.1, fermi_energy=1.0, bandwidth=3.0,
-                                    M=2)
-        phi = 0.3
-        assert commensurability_energy(spec, phi) == pytest.approx(
-            0.1 ** 2 / 1.0 * 2.0 * phi ** 2 / 2.0, rel=1e-12)
-
-    def test_rapid_decay_in_m(self):
-        phi = 0.2
-        vals = [commensurability_energy(
-            CommensurabilitySpec(gap=0.1, fermi_energy=1.0, bandwidth=3.0,
-                                 M=M), phi) for M in (2, 3, 4, 5)]
-        base = math.e * 0.1 / 3.0
-        for M, (a, b) in zip((2, 3, 4), zip(vals, vals[1:])):
-            assert b / a == pytest.approx(base * (M + 1) / M, rel=1e-12)
-        assert vals[-1] < vals[0] * 1e-2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CommensurabilitySpec(gap=0.0, fermi_energy=1.0, bandwidth=1.0,
-                                 M=2)
-        with pytest.raises(ValueError):
-            CommensurabilitySpec(gap=0.1, fermi_energy=1.0, bandwidth=1.0,
-                                 M=1)
-
-
-class TestWavelength:
-    def test_value(self):
-        assert cdw_wavelength(RING) == pytest.approx(math.pi / 1e10,
-                                                     rel=1e-14)

@@ -13,7 +13,6 @@ from cdwring.dynamics import g_fun, g_ddot
 from cdwring import decoherence
 from cdwring.ring import (
     RingState,
-    WindingTerms,
     _windings,
     w_isolated,
     w_general,
@@ -21,7 +20,7 @@ from cdwring.ring import (
     charge_density_amplitude,
     charge_density,
 )
-from cdwring.errors import DegenerateNormalizationError
+from cdwring.errors import EvaluationError
 from cdwring.specfun import sinc
 
 MU = 1e-8
@@ -240,10 +239,16 @@ class TestWGeneral:
         with pytest.raises(ValueError):
             w_general(RingState.ground(), FIG4, MU, HBAR * MU, 0.0)
 
-    def test_degenerate_denominator_raises(self):
-        terms = WindingTerms(1.0 + 0j, 0j, 0j, 0j)
-        with pytest.raises(DegenerateNormalizationError):
-            terms.ratio()
+    def test_degenerate_denominator_raises(self, monkeypatch):
+        # e^-Gamma underflows to 0 for every winding, so the denominator
+        # of the ratio vanishes
+        def huge(phi_f, phi_i, t, spec, inertia):
+            return np.full(np.shape(phi_f), 1e4)
+
+        monkeypatch.setattr(decoherence, "noise_action", huge)
+        with pytest.raises(EvaluationError) as info:
+            w_general(RingState.ground(), FIG4, MU, HBAR * MU, PERIOD)
+        assert info.value.diagnostics["denominator"] == 0.0
 
     @pytest.mark.parametrize("spec", [
         FIG4,
@@ -338,17 +343,18 @@ class TestWEarly:
 
 class TestChargeDensity:
     def test_amplitude_zero_at_origin(self):
-        assert charge_density_amplitude(FIG4, MU, 1.0, 0.0) == 0.0
+        assert charge_density_amplitude(FIG4, MU, 1.0, 0.0) == (0.0, 0.0)
 
     def test_amplitude_weak_coupling_null(self):
         for t in (0.0, 0.3 * PERIOD, PERIOD):
-            assert abs(charge_density_amplitude(NO_DAMPING, MU, 1.0, t)) < 1e-9
+            amp, _ = charge_density_amplitude(NO_DAMPING, MU, 1.0, t)
+            assert abs(amp) < 1e-9
 
     @given(st.floats(min_value=0.0, max_value=20.0))
     @settings(max_examples=30, deadline=None)
     def test_amplitude_bounded(self, t_over_period):
         n1 = 0.7
-        amp = charge_density_amplitude(FIG4, MU, n1, t_over_period * PERIOD)
+        amp, _ = charge_density_amplitude(FIG4, MU, n1, t_over_period * PERIOD)
         assert abs(amp) <= n1
 
     def test_density_flat_at_origin_of_time(self):
@@ -375,3 +381,10 @@ class TestChargeDensity:
             assert np.argmax(mod) == 0
             profiles.append(mod / mod[0])
         assert np.allclose(profiles[0], profiles[1], atol=1e-10)
+
+    def test_amplitude_gamma_is_early_time_gamma(self):
+        for t in (0.3 * PERIOD, PERIOD, 4.0 * PERIOD):
+            amp, gam = charge_density_amplitude(FIG4, MU, 0.7, t)
+            assert gam == gamma_early(FIG4, MU, t)
+            w = w_early(RingState.ground(), FIG4, MU, t)
+            assert amp == pytest.approx(0.7 * w.real, abs=1e-8)

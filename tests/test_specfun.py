@@ -18,6 +18,7 @@ from cdwring.specfun import (
     mittag_leffler,
     hyp1f2,
     sinc,
+    gauss_legendre,
     inverse_laplace,
 )
 
@@ -165,6 +166,17 @@ class TestSinc:
         out = sinc(x)
         assert out.shape == x.shape
         assert out[0] == 1.0
+
+
+class TestGaussLegendre:
+    def test_same_rule_built_once(self):
+        x, w = gauss_legendre(128)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(128)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        assert gauss_legendre(128)[0] is x
+        # callers share the cached arrays, so none may write to them
+        with pytest.raises(ValueError):
+            x[0] = 0.0
 
 
 class TestInverseLaplace:
