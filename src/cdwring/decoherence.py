@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from scipy.integrate import quad, quad_vec
@@ -27,21 +28,16 @@ __all__ = [
 _MAX_NODES = 4000
 
 
-def _upsilon(x):
+def _upsilon(x: float) -> float:
     """2 + x^2 - 2 cos x - 2 x sin x, cancellation-safe near x = 0.
 
     Small-x series: x^4/4 - x^6/72 + x^8/2880 - ...
     """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = np.abs(x) < 0.5
-    xs = x[small]
-    x2 = xs * xs
-    out[small] = x2 * x2 * (0.25 + x2 * (-1.0 / 72.0 + x2 * (1.0 / 2880.0
-                 - x2 / 201600.0)))
-    xl = x[~small]
-    out[~small] = 2.0 + xl * xl - 2.0 * np.cos(xl) - 2.0 * xl * np.sin(xl)
-    return out[()]
+    if abs(x) < 0.5:
+        x2 = x * x
+        return x2 * x2 * (0.25 + x2 * (-1.0 / 72.0 + x2 * (1.0 / 2880.0
+                          - x2 / 201600.0)))
+    return 2.0 + x * x - 2.0 * math.cos(x) - 2.0 * x * math.sin(x)
 
 
 def noise_action(phi_minus_f, phi_minus_i, t: float, spec: BathSpec,
@@ -99,16 +95,44 @@ def noise_action(phi_minus_f, phi_minus_i, t: float, spec: BathSpec,
     return float(gamma) if gamma.ndim == 0 else gamma
 
 
+def _split_integral(spec: BathSpec, t: float, p: float, inner, tail) -> float:
+    """int_0^Omega coth(hw/2kT) w^p k(w) dw for an early-time kernel k.
+
+    k is ``inner`` up to w t = 50 and the sum of the ``tail`` (kernel, weight)
+    pairs beyond, where weight None, "cos" or "sin" of w t selects QUADPACK's
+    weighted rule.  Raises EvaluationError when the summed error estimates
+    exceed 1e-6 of the total and the smallest normal double: below that, at
+    t of order 1e-80 s and less, the kernel itself has underflowed.
+    """
+    w_split = min(spec.Omega, 50.0 / t)
+    opts = dict(epsabs=0.0, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT)
+
+    def weighted(kernel):
+        return lambda w: coth_thermal(spec, w) * w ** p * kernel(w)
+
+    total, err = quad(weighted(inner), 0.0, w_split, **opts)
+    if w_split < spec.Omega:
+        rest = 0.0
+        for kernel, weight in tail:
+            v, e = quad(weighted(kernel), w_split, spec.Omega, weight=weight,
+                        wvar=t, **opts)
+            rest += v
+            err += e
+        total += rest
+    if not math.isfinite(total) or err > max(1e-6 * abs(total),
+                                             sys.float_info.min):
+        raise EvaluationError("early-time quadrature did not converge",
+                              t=t, value=total, error=err)
+    return total
+
+
 def gamma_early(spec: BathSpec, mu: float, t: float) -> float:
     """Early-time noise action Gamma_{T,s}(t) by adaptive quadrature.
 
     Gamma = (g_s / 2 pi mu) int_0^Omega coth(hw/2kT) w^(s-4) *
-            (2 + w^2 t^2 - 2 cos wt - 2 wt sin wt) dw.
+            (2 + w^2 t^2 - 2 cos wt - 2 wt sin wt) dw,
 
-    The region w t <~ 50 is integrated with the cancellation-safe kernel;
-    beyond it the smooth and oscillatory parts are integrated separately
-    (the latter with cos/sin-weighted quadrature) so that large Omega * t
-    poses no resolution problem.
+    the noise action of the undamped path phi-(u) = u / mu.
     """
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
@@ -116,38 +140,23 @@ def gamma_early(spec: BathSpec, mu: float, t: float) -> float:
         raise ValueError(f"mu must be positive, got {mu}")
     if t == 0.0:
         return 0.0
-    s = spec.s
-    Om = spec.Omega
-    pref = spec.g_s / (2.0 * math.pi * mu)
-    x_split = 50.0
-    w_split = min(Om, x_split / t)
+    total = _split_integral(spec, t, spec.s - 4.0, lambda w: _upsilon(w * t),
+                            [(lambda w: 2.0 + (w * t) ** 2, None),
+                             (lambda w: -2.0, "cos"),
+                             (lambda w: -2.0 * w * t, "sin")])
+    return spec.g_s / (2.0 * math.pi * mu) * total
 
-    def inner(w):
-        return coth_thermal(spec, w) * w ** (s - 4.0) * _upsilon(w * t)
 
-    total, err = quad(inner, 0.0, w_split,
-                      epsabs=0.0, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT)
-    if w_split < Om:
-        def smooth(w):
-            return coth_thermal(spec, w) * w ** (s - 4.0) * (2.0 + (w * t) ** 2)
+def _gamma_early_rate(spec: BathSpec, mu: float, t: float) -> float:
+    """dGamma/dt of ``gamma_early`` for t > 0.
 
-        def osc_cos(w):
-            return coth_thermal(spec, w) * w ** (s - 4.0) * (-2.0)
-
-        def osc_sin(w):
-            return coth_thermal(spec, w) * w ** (s - 4.0) * (-2.0 * w * t)
-
-        v1, e1 = quad(smooth, w_split, Om,
-                      epsabs=0.0, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT)
-        v2, e2 = quad(osc_cos, w_split, Om, weight="cos", wvar=t,
-                      epsabs=0.0, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT)
-        v3, e3 = quad(osc_sin, w_split, Om, weight="sin", wvar=t,
-                      epsabs=0.0, epsrel=QUAD_REL_TOL, limit=QUAD_LIMIT)
-        total += v1 + v2 + v3
-        err += e1 + e2 + e3
-    if not math.isfinite(total):
-        raise EvaluationError("early-time Gamma quadrature failed", t=t, value=total)
-    return pref * total
+    Since d/dx (2 + x^2 - 2 cos x - 2 x sin x) = 2x (1 - cos x),
+    dGamma/dt = (g_s t / pi mu) int_0^Omega coth(hw/2kT) w^(s-2) (1 - cos wt) dw.
+    """
+    total = _split_integral(spec, t, spec.s - 2.0,
+                            lambda w: 2.0 * math.sin(0.5 * w * t) ** 2,
+                            [(lambda w: 1.0, None), (lambda w: -1.0, "cos")])
+    return spec.g_s * t / (math.pi * mu) * total
 
 
 def _gamma_lowT_expr(s: float, g_s: float, Omega: float, mu: float, t: float) -> float:

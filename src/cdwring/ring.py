@@ -8,8 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bath import BathSpec
+from .constants import HBAR
 from .errors import EvaluationError
-from .specfun import gauss_legendre, sinc
+from .specfun import gauss_legendre
 from . import decoherence, dynamics
 
 __all__ = [
@@ -96,17 +97,21 @@ def _wrap(x):
 
 
 def _periodic_integral(f, rel_tol=1e-8, n0=512, max_doublings=5):
-    """Trapezoid rule on the periodic circle, doubling until stable."""
+    """Trapezoid rule on the periodic circle, doubling until stable; raises
+    EvaluationError if the last doubling still moves the value by more."""
     n = n0
-    prev = None
+    prev = change = None
     for _ in range(max_doublings + 1):
         th = np.linspace(-math.pi, math.pi, n, endpoint=False)
         val = np.mean(f(th)) * _TWO_PI
-        if prev is not None and abs(val - prev) <= rel_tol * max(1.0, abs(val)):
-            return val
+        if prev is not None:
+            change = abs(val - prev)
+            if change <= rel_tol * max(1.0, abs(val)):
+                return val
         prev = val
         n *= 2
-    return prev
+    raise EvaluationError("periodic trapezoid rule did not converge",
+                          points=n // 2, value=prev, change=change)
 
 
 def w_isolated(state: RingState, mu: float, t: float) -> complex:
@@ -160,8 +165,14 @@ def _windings(c: float, Gdot: float):
 
 
 def w_general(state: RingState, spec: BathSpec, mu: float, inertia: float,
-              t: float) -> complex:
+              t: float, gamma_early: float | None = None) -> complex:
     """General winding-summed expectation value of the sliding operator.
+
+    Winding n is damped by the noise action of the relative path from f_n to
+    2 pi n: the damped classical path (``noise_action``), or, given the
+    early-time Gamma(t) (``gamma_early``), the free path, whose form is
+    Gamma_n = A0 ((2 pi n)^2 + f_n^2) + 2 B0 (2 pi n) f_n with
+    A0 = Gamma (mu/t)^2 and A0 + B0 = (mu^2 / 2t) dGamma/dt.
 
     Raises EvaluationError when a sector has more than 10,000 windings
     (Gdot(t) near 0) or the normalization vanishes.
@@ -180,10 +191,16 @@ def w_general(state: RingState, spec: BathSpec, mu: float, inertia: float,
     terms = [(j, n, f_n, windows)
              for j, c in ((1, G / mu), (2, 0.0))
              for n, f_n, windows in _windings(c, Gdot)]
+    phi_f = np.array([_TWO_PI * n for _, n, _, _ in terms])
+    phi_i = np.array([f_n for _, _, f_n, _ in terms])
     # every winding's Gamma from one evaluation of the quadratic form
-    gams = decoherence.noise_action(np.array([_TWO_PI * n for _, n, _, _ in terms]),
-                                    np.array([f_n for _, _, f_n, _ in terms]),
-                                    t, spec, inertia)
+    if gamma_early is None:
+        gams = decoherence.noise_action(phi_f, phi_i, t, spec, inertia)
+    else:
+        # (mu/t)^2 alone overflows for t far below mu
+        a0 = gamma_early / t * mu / t * mu
+        b0 = 0.5 * decoherence._gamma_early_rate(spec, mu, t) / t * mu * mu - a0
+        gams = a0 * (phi_f * phi_f + phi_i * phi_i) + 2.0 * b0 * phi_f * phi_i
     r = np.zeros((2, 2), dtype=complex)  # rows: sectors 1, 2; columns: +, -
     for (j, n, f_n, (a_plus, b_plus, a_minus, b_minus)), gam in zip(terms, gams):
         fdot_n = _TWO_PI * n * Gddot - (Gdot / mu if j == 1 else 0.0)
@@ -206,46 +223,26 @@ def w_general(state: RingState, spec: BathSpec, mu: float, inertia: float,
 
 
 def w_early(state: RingState, spec: BathSpec, mu: float, t: float) -> complex:
-    """Early-time approximation to ``w_general`` for t well below tau_Q.
-
-    The winding segments tile the full circle, so the theta integral runs
-    over one period and the sector-independent damping factor e^{-Gamma}
-    multiplies the result; the denominator reduces to 2.  The form drops
-    the Gddot phase and the winding dependence of the damping.  That is
-    harmless for a localized state, but for the flat (delocalized) state,
-    whose signal is itself of order 1 - Gdot, it differs from ``w_general``
-    by O(1) or more: at the FIG4 bath (s = 1.2, g = 1, mu = 1e-8,
-    Omega = 1/mu) and t = 0.3 tau_Q it gives 1.26e-5 against -5.28e-4.
-    """
-    gam = decoherence.gamma_early(spec, mu, t)
-    G, Gdot = dynamics.g_fun(spec, t)
-    shift = G / mu
-    half_phase = np.exp(-0.5j * G * Gdot / mu)
-
-    def f(th):
-        return (state.rho(th, th - shift) * half_phase
-                + state.rho(th + shift, th) * np.conj(half_phase)) * np.exp(
-                    1j * th * Gdot)
-
-    return 0.5 * math.exp(-gam) * _periodic_integral(f)
+    """``w_general`` with the free path's noise action; at t = 0 the
+    isolated value <e^{i theta}>."""
+    if t == 0.0:
+        return w_isolated(state, mu, t)
+    return w_general(state, spec, mu, HBAR * mu, t,
+                     gamma_early=decoherence.gamma_early(spec, mu, t))
 
 
 def charge_density_amplitude(spec: BathSpec, mu: float, n1: float,
                              t: float) -> tuple[float, float]:
     """Oscillating charge-density amplitude and its noise action (n1_osc, Gamma).
 
-    n1_osc = n1 sinc(pi Gdot) cos(Gdot G / 2mu) e^-Gamma with the early-time
-    Gamma.  This is n1 times ``w_early`` for the flat state, so it carries
-    that form's O(1) difference from the winding sum ``w_general`` (see
-    ``w_early``).
+    n1_osc = n1 Re <W(t)> of the flat state, from ``w_early``, and Gamma is
+    the early-time noise action.  The flat state carries no signal at t = 0.
     """
     gam = decoherence.gamma_early(spec, mu, t)
     if t == 0.0:
-        # Gdot(0) = 1 makes the sinc factor an exact zero
         return 0.0, gam
-    G, Gdot = dynamics.g_fun(spec, t)
-    return float(n1 * sinc(math.pi * Gdot) * math.cos(0.5 * Gdot * G / mu)
-                 * math.exp(-gam)), gam
+    w = w_general(RingState.ground(), spec, mu, HBAR * mu, t, gamma_early=gam)
+    return float(n1 * w.real), gam
 
 
 def charge_density(x: float, t: float, n0: float, n1: float, kF: float,

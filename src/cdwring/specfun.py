@@ -1,4 +1,4 @@
-"""Special-function kernel: Mittag-Leffler, 1F2, sinc, Gauss-Legendre, Talbot.
+"""Special-function kernel: Mittag-Leffler, 1F2, Gauss-Legendre, Talbot.
 
 All routines are pure functions of their arguments and safe to call
 concurrently.
@@ -23,7 +23,6 @@ __all__ = [
     "QUAD_LIMIT",
     "mittag_leffler",
     "hyp1f2",
-    "sinc",
     "gauss_legendre",
     "inverse_laplace",
 ]
@@ -172,11 +171,6 @@ def hyp1f2(a: float, b1: float, b2: float, z: float) -> float:
         raise EvaluationError(
             "1F2 summation did not converge", a=a, b1=b1, b2=b2, z=z,
         ) from exc
-
-
-def sinc(x):
-    """Unnormalized sinc: sin(x)/x with sinc(0) = 1."""
-    return np.sinc(np.asarray(x) / np.pi)[()]
 
 
 @functools.lru_cache(maxsize=32)

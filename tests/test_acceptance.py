@@ -4,26 +4,24 @@ Each test evaluates one numbered criterion at its stated tolerance, prints a
 single machine-readable pass/fail line, and asserts.  Run with ``-s`` (or rely
 on captured output of failures) to see the lines.
 
-Known limit, documented rather than papered over:
+Notes on two criteria:
+
+* Criterion 3 runs the discrete-bath oracle, which carries the spectral
+  weight above the cutoff as a tail inertia; without it a hard-cutoff bath
+  leaves the ring with the effective inertia I (1 - delta),
+  delta = 2 g Omega^(s-2) / ((2 - s) pi).
 
 * Criterion 8: for the flat (fully delocalized) initial state the leading
-  contributions to the expectation value cancel, and the early-time form
-  keeps only terms of order 1 - Gdot (7.5e-5 at 0.3 tau_Q).  It drops the
-  Gddot phase, with t Gddot = -(2 - s)(1 - Gdot), and the winding dependence
-  of the damping: at 0.3 tau_Q the two contributing windings have
-  Gamma_n = 0.0824 and 0.0842, and that spread moves the winding sum from
-  -1.27e-5 (one common Gamma) to -5.28e-4, against +1.26e-5 from the
-  early-time form.  The gap is 5.41e-4 where 2% of the signal (6.54e-7) is
-  demanded, so the criterion fails and is reported honestly.  The
-  approximation is excellent for localized states (checked in the unit
-  suite), and ``w_general`` for the flat state is checked against the
-  winding sum in closed form in ``tests/test_ring.py``
-  (``TestWGeneral::test_flat_state_closed_form``).
-
-Criterion 3 runs the discrete-bath oracle, which carries the spectral weight
-above the cutoff as a tail inertia; without it a hard-cutoff bath leaves the
-ring with the effective inertia I (1 - delta),
-delta = 2 g Omega^(s-2) / ((2 - s) pi).
+  contributions to the expectation value cancel, so the signal is of order
+  1 - Gdot and every winding matters.  ``w_early`` and ``w_general`` are the
+  same winding sum (``ring.w_general``).  They differ only in the path whose
+  noise action damps each winding: the free path
+  phi-(u) = (u/t) phi_f + (1 - u/t) phi_i for ``w_early``, the damped
+  classical path for ``w_general``.  At the FIG4 bath the gap grows from
+  5.6e-11 at 0.05 tau_Q to 3.85e-9 at 0.3 tau_Q, against an allowance of 2%
+  of the signal (1.06e-5).  ``TestWGeneral::test_flat_state_closed_form`` in
+  ``tests/test_ring.py`` checks both routes against the winding sum in
+  closed form.
 """
 
 import math

@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from cdwring import cli, oracle, dynamics, ring
+from scipy.integrate import quad
+
+from cdwring import cli, decoherence, oracle, dynamics, ring
 from cdwring.bath import BathSpec
 from cdwring.errors import EvaluationError
 
@@ -259,17 +261,35 @@ class TestConfigAndExitCodes:
         monkeypatch.setattr(dynamics, "g_fun", broken)
         assert run(["gfun", "--mu", "1e-8", "--points", "3"]) == 2
 
+    def test_early_quadrature_error_exit_code(self, monkeypatch, capsys):
+        # an error estimate above 1e-6 of the early-time integral raises
+        def inaccurate(*args, **kwargs):
+            value, _ = quad(*args, **kwargs)
+            return value, 1e-3 * abs(value) + 1e-300
+
+        monkeypatch.setattr(decoherence, "quad", inaccurate)
+        assert run(["amplitude", "--mu", "1e-8", "--points", "3"]) == 2
+        assert "early-time quadrature" in capsys.readouterr().err
+
     def test_noise_action_node_cap_exit_code(self, capsys):
         # 500 P at Omega = 1/mu needs more Gauss nodes than noise_action allows
         assert run(["wexp", "--s", "1.2", "--g", "1", "--mu", "1e-8",
                     "--t-max-periods", "500", "--points", "2"]) == 2
         assert "Gauss nodes" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("g", ["1e9", "1e7"])
-    def test_vanishing_gdot_exit_code(self, g, capsys):
+    @pytest.mark.parametrize("command, g", [
+        pytest.param(["wexp"], "1e9", id="1e9"),
+        pytest.param(["wexp"], "1e7", id="1e7"),
+        pytest.param(["amplitude"], "1e9", id="amplitude-1e9"),
+        pytest.param(["amplitude"], "1e7", id="amplitude-1e7"),
+        pytest.param(["wexp", "--early"], "1e9", id="early-1e9"),
+        pytest.param(["wexp", "--early"], "1e7", id="early-1e7"),
+    ])
+    def test_vanishing_gdot_exit_code(self, command, g, capsys):
         # ohmic Gdot = e^-g t at 48 P: 0.0 for g = 1e9, 6.4e-27 for g = 1e7,
-        # both far past the winding bound of w_general
-        assert run(["wexp", "--s", "1", "--g", g, "--mu", "1e-8",
+        # both far past the winding bound of w_general, which amplitude and
+        # wexp --early share
+        assert run([*command, "--s", "1", "--g", g, "--mu", "1e-8",
                     "--t-max-periods", "48", "--points", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:")
@@ -294,7 +314,7 @@ BYTE_IDENTITY = {
     "amplitude": (["amplitude", "--s", "1.2", "--g", "1", "--mu", "1e-8",
                    "--temperature", "0.005", "--t-max-periods", "10",
                    "--points", "8"],
-                  "eabdf70e52c92028fc4a93777105ffda4baf119f6b30f1a68cff22745747d0cc"),
+                  "79e69a0d56f534f2c757a58e94338c62e3ec340b6ad8aeaa6076f152f976096f"),
     "wexp": (["wexp", "--s", "1.2", "--g", "1", "--mu", "1e-8",
               "--state", "gaussian:0.9,0.4", "--t-max-periods", "3",
               "--points", "4"],
@@ -302,7 +322,7 @@ BYTE_IDENTITY = {
     "wexp_early": (["wexp", "--s", "1.2", "--g", "1", "--mu", "1e-8",
                     "--state", "ground", "--early", "--t-max-periods", "2",
                     "--points", "5"],
-                   "f102fa4dfd78fdd13551dfc4e1300de9cff1d2d6aa74b3a58c39a28d616a3789"),
+                   "6d3c16d6302604d37da34e7e0659e894682201536dc847d542e874ada480b2a2"),
     "wexp_isolated": (["wexp", "--mu", "1e-8", "--state", "gaussian:0,0.3",
                        "--isolated", "--t-max-periods", "1", "--points", "5"],
                       "e370fc8d415796a7622b3775abb1a9bbeaee5ac4c93eddff155829cc39052a6a"),

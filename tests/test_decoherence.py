@@ -9,12 +9,14 @@ import pytest
 from cdwring.bath import BathSpec
 from cdwring.constants import HBAR
 from cdwring.decoherence import (
+    _gamma_early_rate,
     noise_action,
     gamma_early,
     gamma_early_lowT,
     tau_decoh,
 )
 from cdwring.errors import EvaluationError, RootNotFoundError
+from cdwring.specfun import hyp1f2
 from cdwring import cli, dynamics, ring
 
 MU = 1e-8
@@ -131,6 +133,19 @@ class TestGammaEarly:
             a = gamma_early(spec, MU, t)
             b = gamma_early_lowT(spec, MU, t)
             assert a == pytest.approx(b, rel=1e-6)
+
+    @pytest.mark.parametrize("s", [0.5, 0.8, 1.2, 1.5])
+    def test_rate_matches_closed_form(self, s):
+        # at T = 0, int_0^Omega w^(s-2) (1 - cos wt) dw
+        #   = Omega^(s-1) (1 - 1F2((s-1)/2; 1/2, (s+1)/2; -Omega^2 t^2 / 4)) / (s-1)
+        spec = BathSpec(s=s, g_s=1.0, Omega=1.0 / MU, T=0.0)
+        for t in np.geomspace(0.05, 40.0, 9) * PERIOD:
+            f = hyp1f2(0.5 * (s - 1.0), 0.5, 0.5 * (s + 1.0),
+                       -0.25 * (spec.Omega * t) ** 2)
+            closed = (spec.g_s * t / (math.pi * MU) * spec.Omega ** (s - 1.0)
+                      * (1.0 - f) / (s - 1.0))
+            assert _gamma_early_rate(spec, MU, float(t)) == pytest.approx(
+                closed, rel=1e-10)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

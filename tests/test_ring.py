@@ -13,6 +13,7 @@ from cdwring.dynamics import g_fun, g_ddot
 from cdwring import decoherence
 from cdwring.ring import (
     RingState,
+    _periodic_integral,
     _windings,
     w_isolated,
     w_general,
@@ -21,7 +22,6 @@ from cdwring.ring import (
     charge_density,
 )
 from cdwring.errors import EvaluationError
-from cdwring.specfun import sinc
 
 MU = 1e-8
 PERIOD = 4.0 * math.pi * MU
@@ -113,6 +113,15 @@ class TestWIsolated:
     def test_rejects_bad_mu(self):
         with pytest.raises(ValueError):
             w_isolated(RingState.ground(), 0.0, 1.0)
+
+    def test_unconverged_trapezoid_raises(self):
+        # e^{i theta / 2} is not 2 pi periodic, so doubling the grid keeps
+        # moving the trapezoid sum
+        with pytest.raises(EvaluationError) as info:
+            _periodic_integral(lambda th: np.exp(0.5j * th))
+        assert set(info.value.diagnostics) == {"points", "value", "change"}
+        assert info.value.diagnostics["points"] == 16384
+        assert info.value.diagnostics["change"] > 1e-8
 
 
 class TestWindingShifts:
@@ -250,17 +259,32 @@ class TestWGeneral:
             w_general(RingState.ground(), FIG4, MU, HBAR * MU, PERIOD)
         assert info.value.diagnostics["denominator"] == 0.0
 
-    @pytest.mark.parametrize("spec", [
-        FIG4,
-        BathSpec(s=0.8, g_s=1.0, Omega=1.0 / MU, T=1e-3),
+    @pytest.mark.parametrize("spec, free_path", [
+        pytest.param(FIG4, False, id="spec0"),
+        pytest.param(BathSpec(s=0.8, g_s=1.0, Omega=1.0 / MU, T=1e-3), False,
+                     id="spec1"),
+        pytest.param(FIG4, True, id="spec0-free"),
+        pytest.param(BathSpec(s=0.8, g_s=1.0, Omega=1.0 / MU, T=1e-3), True,
+                     id="spec1-free"),
     ])
     @pytest.mark.parametrize("periods", [0.3, 7.3])
-    def test_flat_state_closed_form(self, spec, periods):
+    def test_flat_state_closed_form(self, spec, free_path, periods):
         # for rho = 1/2pi each half of winding n integrates e^{i A_n theta}
         # over a window of half-length L_n = pi - |f_n|/2; the window-centre
         # phase cancels phase_half, leaving sin(A_n L_n) / (pi A_n)
         inertia = HBAR * MU
         t = periods * PERIOD
+        if free_path:
+            # free path (u/t) phi_f + (1 - u/t) phi_i: A0 = C0 = Gamma (mu/t)^2
+            # and A0 + B0 = (mu^2 / 2t) dGamma/dt
+            a0 = gamma_early(spec, MU, t) * (MU / t) ** 2
+            b0 = 0.5 * MU**2 / t * decoherence._gamma_early_rate(spec, MU, t) - a0
+
+            def action(phi_f, phi_i):
+                return a0 * (phi_f**2 + phi_i**2) + 2.0 * b0 * phi_f * phi_i
+        else:
+            def action(phi_f, phi_i):
+                return noise_action(phi_f, phi_i, t, spec, inertia)
         G, Gdot = g_fun(spec, t)
         Gddot = g_ddot(spec, t)
         sums = []
@@ -277,11 +301,12 @@ class TestWGeneral:
                 term = L / math.pi if A == 0.0 else math.sin(A * L) / (
                     math.pi * A)
                 sign = (-1.0) ** n if j == 1 else 1.0
-                gam = noise_action(2.0 * math.pi * n, f_n, t, spec, inertia)
+                gam = action(2.0 * math.pi * n, f_n)
                 total += sign * math.exp(-gam) * term
             sums.append(total)
         expected = sums[0] / sums[1]
-        w = w_general(RingState.ground(), spec, MU, inertia, t)
+        w = (w_early(RingState.ground(), spec, MU, t) if free_path
+             else w_general(RingState.ground(), spec, MU, inertia, t))
         # the signal is a cancellation between O(1) terms, so the tolerance
         # is absolute
         assert abs(w - expected) <= 1e-12
@@ -312,19 +337,6 @@ class TestWGeneral:
 
 
 class TestWEarly:
-    def test_ground_state_analytic_form(self):
-        # theta integral of the flat state reduces to sinc(pi Gdot) times the
-        # half-shift cosine and the damping envelope
-        for t in (0.3 * PERIOD, PERIOD, 4.0 * PERIOD):
-            w = w_early(RingState.ground(), FIG4, MU, t)
-            G, Gdot = g_fun(FIG4, t)
-            gam = gamma_early(FIG4, MU, t)
-            expected = (sinc(math.pi * Gdot) * math.cos(0.5 * Gdot * G / MU)
-                        * math.exp(-gam))
-            # the quadrature resolves the integral to ~1e-8 absolute
-            assert w.real == pytest.approx(expected, abs=1e-8)
-            assert abs(w.imag) < 1e-8
-
     def test_ground_state_zero_at_origin(self):
         assert abs(w_early(RingState.ground(), FIG4, MU, 0.0)) < 1e-12
 

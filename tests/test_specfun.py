@@ -10,14 +10,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from cdwring import specfun
 from cdwring.errors import EvaluationError
 from cdwring.specfun import (
     mittag_leffler,
     hyp1f2,
-    sinc,
     gauss_legendre,
     inverse_laplace,
 )
@@ -143,29 +141,6 @@ class TestHyp1F2:
     def test_nonfinite_argument(self):
         with pytest.raises(ValueError):
             hyp1f2(1.0, 1.0, 1.0, math.nan)
-
-
-class TestSinc:
-    def test_values(self):
-        assert sinc(0.0) == 1.0
-        assert sinc(math.pi) == pytest.approx(0.0, abs=1e-15)
-        assert sinc(math.pi / 2) == pytest.approx(2.0 / math.pi, rel=1e-14)
-
-    def test_integer_pi_zeros(self):
-        for k in (-3, -1, 1, 2, 5):
-            assert abs(sinc(k * math.pi)) < 1e-15
-
-    @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
-    @settings(max_examples=200, deadline=None)
-    def test_even_and_bounded(self, x):
-        assert sinc(x) == sinc(-x)
-        assert abs(sinc(x)) <= 1.0 + 1e-15
-
-    def test_vectorized(self):
-        x = np.array([0.0, math.pi, math.pi / 2])
-        out = sinc(x)
-        assert out.shape == x.shape
-        assert out[0] == 1.0
 
 
 class TestGaussLegendre:
