@@ -49,6 +49,8 @@ class BathSpec:
 def coth_thermal(spec: BathSpec, omega):
     """coth(hbar*omega / 2 kB T), with the T = 0 branch fixed to 1."""
     if spec.T == 0.0:
+        if isinstance(omega, (float, int)):
+            return 1.0
         return np.ones_like(np.asarray(omega, dtype=float))[()]
     x = HBAR * np.asarray(omega, dtype=float) / (2.0 * K_B * spec.T)
     with np.errstate(over="ignore", divide="ignore"):

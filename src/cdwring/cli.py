@@ -209,10 +209,10 @@ def _oracle_checks(config: RunConfig):
         worst = max(worst, abs(direct - ref) / max(abs(ref), 1e-300))
     yield "noise_kernel_direct_vs_quadrature", worst, 1e-4 * loosen
 
-    # 3. bath ODE vs fundamental solution (scaled units).  The discrete bath
-    # carries the weight above the cutoff as a tail inertia, so what is left
-    # is discretization error; at these cutoffs (the ones acceptance
-    # criterion 3 uses) it stays at or below about 1.3e-4 with 4096 modes.
+    # 3. exact normal-mode trajectory of the discrete bath, whose tail inertia
+    # carries the weight above the cutoff, vs the fundamental solution (scaled
+    # units): what is left is discretization error, at or below about 1.3e-4
+    # with 4096 modes at these cutoffs (the ones acceptance criterion 3 uses).
     anchors = sorted(oracle.ODE_CUTOFFS.items())
     s_clip = min(max(spec.s, anchors[0][0]), anchors[-1][0])
     for (s_lo, w_lo), (s_hi, w_hi) in zip(anchors, anchors[1:]):

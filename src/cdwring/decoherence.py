@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
+from scipy.integrate import IntegrationWarning, quad, quad_vec
 from scipy.optimize import brentq
 
 from .bath import BathSpec, coth_thermal
@@ -110,15 +111,18 @@ def _split_integral(spec: BathSpec, t: float, p: float, inner, tail) -> float:
     def weighted(kernel):
         return lambda w: coth_thermal(spec, w) * w ** p * kernel(w)
 
-    total, err = quad(weighted(inner), 0.0, w_split, **opts)
-    if w_split < spec.Omega:
-        rest = 0.0
-        for kernel, weight in tail:
-            v, e = quad(weighted(kernel), w_split, spec.Omega, weight=weight,
-                        wvar=t, **opts)
-            rest += v
-            err += e
-        total += rest
+    with warnings.catch_warnings():
+        # the summed error estimate is checked below
+        warnings.simplefilter("ignore", IntegrationWarning)
+        total, err = quad(weighted(inner), 0.0, w_split, **opts)
+        if w_split < spec.Omega:
+            rest = 0.0
+            for kernel, weight in tail:
+                v, e = quad(weighted(kernel), w_split, spec.Omega,
+                            weight=weight, wvar=t, **opts)
+                rest += v
+                err += e
+            total += rest
     if not math.isfinite(total) or err > max(1e-6 * abs(total),
                                              sys.float_info.min):
         raise EvaluationError("early-time quadrature did not converge",

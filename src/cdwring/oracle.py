@@ -6,9 +6,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dlasd4
 
 from .bath import BathSpec
 from .constants import HBAR, K_B
+from .errors import EvaluationError
 
 __all__ = [
     "ODE_CUTOFFS",
@@ -16,7 +18,6 @@ __all__ = [
     "discretize_bath",
     "simulate_bath_ode",
     "noise_kernel_direct",
-    "total_energy",
 ]
 
 # bath exponent s -> cutoff Omega (scaled units, g = I = 1) at which the
@@ -79,78 +80,69 @@ def discretize_bath(spec: BathSpec, inertia: float, n_modes: int,
                         mass=mass, inertia=inertia, tail_inertia=tail)
 
 
-def _rhs(bath: DiscreteBath, theta, thetadot, R, Rdot):
-    # thetadot is p / I: the ring and the tail move together with p / (I + I_t)
-    disp = R - bath.couplings * theta / (bath.mass * bath.omegas**2)
-    vel_theta = thetadot * bath.inertia / (bath.inertia + bath.tail_inertia)
-    acc_theta = np.dot(bath.couplings, disp) / bath.inertia
-    acc_R = -bath.omegas**2 * R + bath.couplings * theta / bath.mass
-    return vel_theta, acc_theta, Rdot, acc_R
-
-
 def simulate_bath_ode(bath: DiscreteBath, theta0: float, thetadot0: float,
-                      t_grid, R0=None, Rdot0=None,
-                      steps_per_cutoff_period: int = 50,
-                      return_final_state: bool = False):
-    """Fixed-step RK4 integration of the ring + discrete-bath equations of motion.
+                      t_grid) -> np.ndarray:
+    """Exact ring trajectory theta(t) of the ring + discrete-bath equations of motion.
 
     The ring carries the bath's tail inertia I_t, which starts at rest, so
-    the ring starts with momentum p = I thetadot0; ``thetadot`` here and in
-    the returned final state is p / I.  With the bath initially at rest at
-    the origin the trajectory approaches G(t) thetadot0 + Gdot(t) theta0 as
-    the mode count grows, for t well above 1 / Omega; the theta0 term keeps
-    a relative error of about I_t / I, because the tail moves with the ring
-    from the start instead of starting at the origin.  The step is held at
-    or below 2 pi / (steps_per_cutoff_period * max omega).
+    the ring starts with momentum p = I thetadot0, i.e. velocity
+    v = p / (I + I_t); the bath starts at rest at the origin.  The
+    trajectory approaches G(t) thetadot0 + Gdot(t) theta0 as the mode count
+    grows, for t well above 1 / Omega; the theta0 term keeps a relative
+    error of about I_t / I (delta), because the tail moves with the ring
+    from the start instead of starting at the origin.
+
+    Method: scaled by the masses (I + I_t, m, ..., m), the stiffness matrix
+    is an arrowhead with diagonal omega_j^2, spine c_j = -C_j / sqrt(m (I + I_t))
+    and corner sum c_j^2 / omega_j^2, so its secular function factors as
+    -lambda [1 + sum z_j^2 / (omega_j^2 - lambda)], z_j = c_j / omega_j: a
+    drift mode at lambda = 0 plus modes Omega_k^2, the eigenvalues of
+    diag(omega^2) + z z^T.  LAPACK's dlasd4 finds each Omega_k in O(n) with
+    the gaps omega_j -+ Omega_k, which give the ring's share of mode k,
+    w_k = 1 / (1 + sum_j (c_j / ((omega_j - Omega_k)(omega_j + Omega_k)))^2),
+    and of the drift, w_0 = 1 / (1 + sum (z_j / omega_j)^2); then
+    theta(t) = w_0 (theta0 + v t) + sum_k w_k (theta0 cos Omega_k t
+    + v sin(Omega_k t) / Omega_k).  Deflation: modes at one frequency are
+    rotated into one mode with their root-sum-square coupling, and modes
+    without coupling are dropped, as their ring weight is exactly zero.
+    Raises EvaluationError when dlasd4 reports failure or the weights miss
+    1 by more than 1e-10.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
         raise ValueError("t_grid must be non-negative and strictly increasing")
-    n_modes = bath.omegas.size
-    recurrence = 2.0 * math.pi * n_modes / bath.omegas.max()
+    recurrence = 2.0 * math.pi * bath.omegas.size / bath.omegas.max()
     if t_grid[-1] > recurrence:
         raise ValueError(
             f"t_grid extends past the Poincare recurrence time {recurrence:.3e}")
-    h_max = 2.0 * math.pi / (steps_per_cutoff_period * bath.omegas.max())
 
-    theta = float(theta0)
-    thetadot = float(thetadot0)
-    R = np.zeros(n_modes) if R0 is None else np.array(R0, dtype=float)
-    Rdot = np.zeros(n_modes) if Rdot0 is None else np.array(Rdot0, dtype=float)
+    total_inertia = bath.inertia + bath.tail_inertia
+    omegas, group = np.unique(bath.omegas, return_inverse=True)
+    c2 = (np.bincount(group, weights=bath.couplings**2)
+          / (bath.mass * total_inertia))
+    omegas, c2 = omegas[c2 > 0], c2[c2 > 0]
+    z2 = c2 / omegas**2
+    rho = float(np.sum(z2))
+    z_unit = np.sqrt(z2 / rho)
+    freqs = np.empty(omegas.size)
+    weights = np.empty(omegas.size)
+    for k in range(omegas.size):
+        gap_minus, freqs[k], gap_plus, info = dlasd4(k, omegas, z_unit, rho)
+        if info != 0:
+            raise EvaluationError("secular equation solve failed", i=k, info=info)
+        weights[k] = 1.0 / (1.0 + np.sum(c2 / (gap_minus * gap_plus) ** 2))
+    drift = 1.0 / (1.0 + np.sum(z2 / omegas**2))
+    weight_sum = drift + float(np.sum(weights))
+    if not abs(weight_sum - 1.0) <= 1e-10:
+        raise EvaluationError("normal-mode weights do not sum to 1",
+                              n=omegas.size, sum=weight_sum)
 
-    out = np.empty(t_grid.size)
-    t = 0.0
-    for i, t_target in enumerate(t_grid):
-        span = t_target - t
-        if span > 0:
-            n_steps = max(1, math.ceil(span / h_max))
-            h = span / n_steps
-            for _ in range(n_steps):
-                k1 = _rhs(bath, theta, thetadot, R, Rdot)
-                k2 = _rhs(bath, theta + 0.5 * h * k1[0], thetadot + 0.5 * h * k1[1],
-                          R + 0.5 * h * k1[2], Rdot + 0.5 * h * k1[3])
-                k3 = _rhs(bath, theta + 0.5 * h * k2[0], thetadot + 0.5 * h * k2[1],
-                          R + 0.5 * h * k2[2], Rdot + 0.5 * h * k2[3])
-                k4 = _rhs(bath, theta + h * k3[0], thetadot + h * k3[1],
-                          R + h * k3[2], Rdot + h * k3[3])
-                theta += h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-                thetadot += h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-                R = R + h / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-                Rdot = Rdot + h / 6.0 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-            t = t_target
-        out[i] = theta
-    if return_final_state:
-        return out, (theta, thetadot, R, Rdot)
-    return out
-
-
-def total_energy(bath: DiscreteBath, theta, thetadot, R, Rdot) -> float:
-    """Conserved energy of the ring + bath system; ``thetadot`` is p / I."""
-    disp = R - bath.couplings * theta / (bath.mass * bath.omegas**2)
-    p = bath.inertia * thetadot
-    return (0.5 * p**2 / (bath.inertia + bath.tail_inertia)
-            + 0.5 * bath.mass * np.dot(Rdot, Rdot)
-            + 0.5 * bath.mass * np.dot(bath.omegas**2, disp * disp))
+    theta0 = float(theta0)
+    v = bath.inertia * float(thetadot0) / total_inertia
+    return np.array([
+        drift * (theta0 + v * t)
+        + np.dot(weights, theta0 * np.cos(freqs * t) + v * np.sin(freqs * t) / freqs)
+        for t in t_grid])
 
 
 def noise_kernel_direct(bath: DiscreteBath, T: float, t: float) -> float:

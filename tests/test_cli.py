@@ -330,6 +330,8 @@ BYTE_IDENTITY = {
                "c99778e07151e475ed0396ef60a221e23c094df26e63247c19091ae8fdd330c6"),
     "oracle": (["oracle", "--quick", "--s", "1.2", "--g", "1", "--mu", "1e-8"],
                "4171c0fa0134a9963c93a8cd1eaaa3c167b77bbad6397fcbbf8eea8e5e4c9a1f"),
+    "oracle_full": (["oracle", "--s", "1.0", "--g", "1", "--mu", "1e-8"],
+                    "58d71fb9c57945a20c0478ac009162cb5e6d33e0050195064ccc28ad7a72ffc7"),
 }
 
 

@@ -5,17 +5,92 @@ import math
 import numpy as np
 import pytest
 
+from cdwring import oracle
 from cdwring.bath import BathSpec, noise_kernel
 from cdwring.dynamics import g_fun, tau_damp
+from cdwring.errors import EvaluationError
 from cdwring.oracle import (
+    ODE_CUTOFFS,
     DiscreteBath,
     discretize_bath,
     simulate_bath_ode,
     noise_kernel_direct,
-    total_energy,
 )
 
 SCALED = BathSpec(s=1.2, g_s=1.0, Omega=200.0, T=0.0)
+
+
+# Fixed-step RK4 integration of the same equations of motion: the reference
+# that the normal-mode solution of simulate_bath_ode is checked against.
+
+def _rhs(bath: DiscreteBath, theta, thetadot, R, Rdot):
+    # thetadot is p / I: the ring and the tail move together with p / (I + I_t)
+    disp = R - bath.couplings * theta / (bath.mass * bath.omegas**2)
+    vel_theta = thetadot * bath.inertia / (bath.inertia + bath.tail_inertia)
+    acc_theta = np.dot(bath.couplings, disp) / bath.inertia
+    acc_R = -bath.omegas**2 * R + bath.couplings * theta / bath.mass
+    return vel_theta, acc_theta, Rdot, acc_R
+
+
+def _rk4_reference(bath: DiscreteBath, theta0: float, thetadot0: float,
+                   t_grid, R0=None, Rdot0=None,
+                   steps_per_cutoff_period: int = 50,
+                   return_final_state: bool = False):
+    """Fixed-step RK4 integration of the ring + discrete-bath equations of motion.
+
+    The ring carries the bath's tail inertia I_t, which starts at rest, so
+    the ring starts with momentum p = I thetadot0; ``thetadot`` here and in
+    the returned final state is p / I.  The step is held at or below
+    2 pi / (steps_per_cutoff_period * max omega).
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    if np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
+        raise ValueError("t_grid must be non-negative and strictly increasing")
+    n_modes = bath.omegas.size
+    recurrence = 2.0 * math.pi * n_modes / bath.omegas.max()
+    if t_grid[-1] > recurrence:
+        raise ValueError(
+            f"t_grid extends past the Poincare recurrence time {recurrence:.3e}")
+    h_max = 2.0 * math.pi / (steps_per_cutoff_period * bath.omegas.max())
+
+    theta = float(theta0)
+    thetadot = float(thetadot0)
+    R = np.zeros(n_modes) if R0 is None else np.array(R0, dtype=float)
+    Rdot = np.zeros(n_modes) if Rdot0 is None else np.array(Rdot0, dtype=float)
+
+    out = np.empty(t_grid.size)
+    t = 0.0
+    for i, t_target in enumerate(t_grid):
+        span = t_target - t
+        if span > 0:
+            n_steps = max(1, math.ceil(span / h_max))
+            h = span / n_steps
+            for _ in range(n_steps):
+                k1 = _rhs(bath, theta, thetadot, R, Rdot)
+                k2 = _rhs(bath, theta + 0.5 * h * k1[0], thetadot + 0.5 * h * k1[1],
+                          R + 0.5 * h * k1[2], Rdot + 0.5 * h * k1[3])
+                k3 = _rhs(bath, theta + 0.5 * h * k2[0], thetadot + 0.5 * h * k2[1],
+                          R + 0.5 * h * k2[2], Rdot + 0.5 * h * k2[3])
+                k4 = _rhs(bath, theta + h * k3[0], thetadot + h * k3[1],
+                          R + h * k3[2], Rdot + h * k3[3])
+                theta += h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+                thetadot += h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+                R = R + h / 6.0 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+                Rdot = Rdot + h / 6.0 * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+            t = t_target
+        out[i] = theta
+    if return_final_state:
+        return out, (theta, thetadot, R, Rdot)
+    return out
+
+
+def _total_energy(bath: DiscreteBath, theta, thetadot, R, Rdot) -> float:
+    """Conserved energy of the ring + bath system; ``thetadot`` is p / I."""
+    disp = R - bath.couplings * theta / (bath.mass * bath.omegas**2)
+    p = bath.inertia * thetadot
+    return (0.5 * p**2 / (bath.inertia + bath.tail_inertia)
+            + 0.5 * bath.mass * np.dot(Rdot, Rdot)
+            + 0.5 * bath.mass * np.dot(bath.omegas**2, disp * disp))
 
 
 class TestDiscretizeBath:
@@ -101,12 +176,57 @@ class TestSimulateBathOde:
 
     def test_energy_conservation(self):
         bath = discretize_bath(SCALED, 1.0, 1024)
-        e0 = total_energy(bath, 0.3, 1.0, np.zeros(1024), np.zeros(1024))
-        _, (th, thd, R, Rd) = simulate_bath_ode(
+        e0 = _total_energy(bath, 0.3, 1.0, np.zeros(1024), np.zeros(1024))
+        _, (th, thd, R, Rd) = _rk4_reference(
             bath, 0.3, 1.0, [1.0], steps_per_cutoff_period=150,
             return_final_state=True)
-        e1 = total_energy(bath, th, thd, R, Rd)
+        e1 = _total_energy(bath, th, thd, R, Rd)
         assert abs(e1 - e0) / e0 < 1e-6
+
+    @pytest.mark.parametrize("s", sorted(ODE_CUTOFFS))
+    def test_matches_rk4_reference(self, s):
+        spec = BathSpec(s=s, g_s=1.0, Omega=ODE_CUTOFFS[s], T=0.0)
+        bath = discretize_bath(spec, 1.0, 512)
+        t_end = min(tau_damp(spec), 0.5 * 2.0 * math.pi * 512 / spec.Omega)
+        t_grid = np.linspace(0.25 * t_end, t_end, 4)
+        out = simulate_bath_ode(bath, 0.1, 2.0, t_grid)
+        ref = _rk4_reference(bath, 0.1, 2.0, t_grid, steps_per_cutoff_period=200)
+        assert np.max(np.abs(out - ref) / np.abs(ref)) < 1e-10
+
+    @pytest.mark.parametrize("omegas, couplings", [
+        ([1.0, 2.0, 3.0], [0.3, 0.0, 0.1]),   # a decoupled mode
+        ([1.0, 2.0, 2.0, 3.0], [0.3, 0.2, 0.4, 0.1]),   # a repeated frequency
+        ([3.0, 2.0, 1.0, 2.0], [0.1, 0.0, 0.3, 0.5]),   # both, unsorted
+    ])
+    def test_degenerate_modes_match_rk4_reference(self, omegas, couplings):
+        bath = DiscreteBath(omegas=np.array(omegas), couplings=np.array(couplings),
+                            mass=1.0, inertia=1.0)
+        t_grid = np.linspace(0.5, 3.0, 4)
+        out = simulate_bath_ode(bath, 0.1, 2.0, t_grid)
+        ref = _rk4_reference(bath, 0.1, 2.0, t_grid, steps_per_cutoff_period=2000)
+        assert np.max(np.abs(out - ref) / np.abs(ref)) < 1e-10
+
+    def test_secular_solve_failure_raises(self, monkeypatch):
+        def failing(i, d, z, rho):
+            return np.full(d.size, np.nan), np.nan, np.full(d.size, np.nan), 1
+        monkeypatch.setattr(oracle, "dlasd4", failing)
+        bath = discretize_bath(SCALED, 1.0, 16)
+        with pytest.raises(EvaluationError) as exc:
+            simulate_bath_ode(bath, 0.0, 1.0, [0.1])
+        assert exc.value.diagnostics == {"i": 0, "info": 1}
+
+    def test_weight_sum_check_raises(self, monkeypatch):
+        solve = oracle.dlasd4
+
+        def shifted(i, d, z, rho):
+            gap_minus, sigma, gap_plus, info = solve(i, d, z, rho)
+            return 2.0 * gap_minus, sigma, gap_plus, info
+        monkeypatch.setattr(oracle, "dlasd4", shifted)
+        bath = discretize_bath(SCALED, 1.0, 16)
+        with pytest.raises(EvaluationError) as exc:
+            simulate_bath_ode(bath, 0.0, 1.0, [0.1])
+        assert exc.value.diagnostics["n"] == 16
+        assert abs(exc.value.diagnostics["sum"] - 1.0) > 1e-10
 
     def test_recurrence_guard(self):
         bath = discretize_bath(SCALED, 1.0, 16)

@@ -1,6 +1,7 @@
 """Tests for ring states and expectation values of the sliding operator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -393,6 +394,15 @@ class TestChargeDensity:
             assert np.argmax(mod) == 0
             profiles.append(mod / mod[0])
         assert np.allclose(profiles[0], profiles[1], atol=1e-10)
+
+    @pytest.mark.parametrize("t", [1e-164, 1e-100, 1e-82])
+    def test_amplitude_at_underflowing_t_is_silent(self, t):
+        # the kernel underflows and QUADPACK reports roundoff; the split
+        # quadrature checks its own error estimate instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            amp, gam = charge_density_amplitude(FIG4, MU, 1.0, t)
+        assert abs(amp) < 1e-12 and 0.0 <= gam < 1e-200
 
     def test_amplitude_gamma_is_early_time_gamma(self):
         for t in (0.3 * PERIOD, PERIOD, 4.0 * PERIOD):
